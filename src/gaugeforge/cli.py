@@ -172,8 +172,15 @@ def cmd_spectrum(args, cfg) -> int:
                 rb = _reduced_basis_from_report(cm, json.load(f))
         except (OSError, json.JSONDecodeError) as exc:
             raise InputError(f"cannot load --basis {args.basis}: {exc}") from exc
+        failed = extraction.verify_reduced_basis(code, rb).violations
+        if failed:
+            raise InputError(f"--basis {args.basis} is not a reduced basis of this code: "
+                             + "; ".join(n for n, _ in failed))
     else:
-        rb = extraction.extract_reduced_basis(cm)
+        try:
+            rb = extraction.extract_reduced_basis(cm)
+        except extraction.ExtractionError as exc:
+            raise ComputeError(f"extraction failed: {exc}") from exc
     try:
         sep = spectra.energy_separation(code, rb, w)
     except spectra.SpectraError as exc:
@@ -231,10 +238,13 @@ def cmd_simulate(args, cfg) -> int:
     code = build_code(cm)
     rho_L = opensys.PLUS if initial == "plusL" else opensys.BELL
     t_grid = np.linspace(0.0, t_max, samples)
-    want_eof = metrics == "logical" and (2 * code.k if blocks == "separate" else code.k) == 2
+    k = 2 * code.k if blocks == "separate" else code.k
+    need = 1 if initial == "plusL" else 2
+    if k != need:
+        raise InputError(f"--initial {initial} needs {need} logical qubit(s), "
+                         f"but the code with --blocks {blocks} has {k}")
+    want_eof = metrics == "logical" and k == 2
     if blocks == "separate":
-        if initial != "bell":
-            raise InputError("--blocks separate requires --initial bell")
         composite = build_code(combined_matrix([cm, cm]))
 
     rows = []

@@ -10,19 +10,11 @@ gauge group.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .pauli import (
-    PauliOp,
-    as_gf2,
-    express_in_basis,
-    gf2_nullspace,
-    gf2_rank,
-    gf2_row_reduce,
-    gf2_solve,
-    pauli_from_string,
-)
+from .pauli import PauliOp, gf2_nullspace, gf2_rank, gf2_solve, pauli_from_string
 
 
 class CodeError(Exception):
@@ -55,7 +47,9 @@ class CodeMatrix:
 
     @classmethod
     def from_matrix(cls, M) -> "CodeMatrix":
-        M = as_gf2(M)
+        M = np.asarray(M, dtype=np.uint8) % 2
+        if M.ndim != 2:
+            raise CodeFormatError("expected a 2D binary matrix")
         M.setflags(write=False)
         coords = tuple((i, j) for i in range(M.shape[0]) for j in range(M.shape[1]) if M[i, j])
         return cls(M, coords)
@@ -76,6 +70,22 @@ class CodeMatrix:
     def coord_map(self) -> dict[tuple[int, int], int]:
         """1-based (row, col) -> qubit index, for the operator text syntax."""
         return {(i + 1, j + 1): q for q, (i, j) in enumerate(self.coords)}
+
+    @cached_property
+    def row_masks(self) -> tuple[int, ...]:
+        """Row i as a GF(2) vector over the columns (bit j = column j)."""
+        masks = [0] * self.shape[0]
+        for i, j in self.coords:
+            masks[i] |= 1 << j
+        return tuple(masks)
+
+    @cached_property
+    def col_masks(self) -> tuple[int, ...]:
+        """Column j as a GF(2) vector over the rows (bit i = row i)."""
+        masks = [0] * self.shape[1]
+        for i, j in self.coords:
+            masks[j] |= 1 << i
+        return tuple(masks)
 
     def qubit_labels(self) -> list[str]:
         return [f"[{i + 1},{j + 1}]" for (i, j) in self.coords]
@@ -116,10 +126,11 @@ def load_code_matrix(text: str) -> CodeMatrix:
 
 
 def _pauli_on(cm: CodeMatrix, letter: str, qubits) -> PauliOp:
-    op = PauliOp.identity(cm.n)
+    """Product of X (or Z) over ``qubits``."""
+    mask = 0
     for q in qubits:
-        op = op * PauliOp.single(cm.n, letter, q)
-    return op
+        mask ^= 1 << q
+    return PauliOp(cm.n, mask, 0, 0) if letter == "X" else PauliOp(cm.n, 0, mask, 0)
 
 
 def distance(cm: CodeMatrix, max_dim: int = 20) -> int:
@@ -131,8 +142,7 @@ def distance(cm: CodeMatrix, max_dim: int = 20) -> int:
             f"matrix {m_r}x{m_c} too large for exhaustive distance; pass the value manually"
         )
     best = cm.n
-    for vectors in (cm.matrix, cm.matrix.T):
-        masks = [int("".join(map(str, row[::-1])), 2) for row in vectors]
+    for masks in (cm.row_masks, cm.col_masks):
         acc = 0
         prev = 0
         # Gray-code enumeration: one XOR per combination
@@ -206,62 +216,33 @@ def _gauge_masks(cm: CodeMatrix, all_pairs: bool) -> tuple[list[PauliOp], list[P
     return x_gauge, z_gauge
 
 
-def _bits_to_mask(bits: np.ndarray) -> int:
-    mask = 0
-    for j, b in enumerate(bits):
-        if b:
-            mask |= 1 << j
-    return mask
-
-
-def _mask_matrix(ops: list[PauliOp], part: str, n: int) -> np.ndarray:
-    out = np.zeros((len(ops), n), dtype=np.uint8)
-    for i, op in enumerate(ops):
-        bits = op.x if part == "x" else op.z
-        for j in range(n):
-            out[i, j] = (bits >> j) & 1
-    return out
-
-
-def _quotient_basis(space: np.ndarray, subspace: np.ndarray) -> np.ndarray:
-    """Vectors of ``space`` extending a basis of ``subspace`` (row vectors)."""
+def _quotient_basis(space: list[int], subspace: list[int]) -> list[int]:
+    """Vectors of ``space`` extending a basis of ``subspace``, greedily."""
     acc = list(subspace)
-    rank = gf2_rank(subspace) if len(subspace) else 0
     out = []
     for v in space:
-        trial = np.array(acc + [v], dtype=np.uint8)
-        r = gf2_rank(trial)
-        if r > rank:
+        if gf2_solve(acc, v) is None:
             acc.append(v)
-            rank = r
             out.append(v)
-    return np.array(out, dtype=np.uint8).reshape(len(out), -1)
-
-
-def _gf2_inverse(A: np.ndarray) -> np.ndarray:
-    k = A.shape[0]
-    aug = np.hstack([A, np.eye(k, dtype=np.uint8)])
-    R, pivots = gf2_row_reduce(aug)
-    if pivots[:k] != list(range(k)):
-        raise CodeError("pairing matrix is singular over GF(2)")
-    return R[:, k:]
+    return out
 
 
 def build_code(cm: CodeMatrix, all_pairs: bool = False) -> SubsystemCode:
     """Construct gauge generators, stabilizers and canonical logical pairs."""
     n = cm.n
-    k = gf2_rank(cm.matrix)
+    m_r, m_c = cm.shape
+    k = gf2_rank(cm.row_masks)
     x_gauge, z_gauge = _gauge_masks(cm, all_pairs)
 
     # Z-type stabilizers: Z on every qubit of a dependent row set.
     z_stabs = []
-    for v in gf2_nullspace(cm.matrix.T):
-        qubits = [q for q, (r, _) in enumerate(cm.coords) if v[r]]
+    for v in gf2_nullspace(cm.col_masks, m_r):
+        qubits = [q for q, (r, _) in enumerate(cm.coords) if v >> r & 1]
         z_stabs.append(_pauli_on(cm, "Z", qubits))
     # X-type stabilizers: X on every qubit of a dependent column set.
     x_stabs = []
-    for u in gf2_nullspace(cm.matrix):
-        qubits = [q for q, (_, c) in enumerate(cm.coords) if u[c]]
+    for u in gf2_nullspace(cm.row_masks, m_c):
+        qubits = [q for q, (_, c) in enumerate(cm.coords) if u >> c & 1]
         x_stabs.append(_pauli_on(cm, "X", qubits))
 
     logical_pairs = _logical_operators(cm, k, x_gauge, z_gauge)
@@ -283,43 +264,31 @@ def build_code(cm: CodeMatrix, all_pairs: bool = False) -> SubsystemCode:
 def _logical_operators(cm, k, x_gauge, z_gauge):
     """Canonical logical pairs via the CSS symplectic centralizer."""
     n = cm.n
-    Gx = _mask_matrix(x_gauge, "x", n)
-    Gz = _mask_matrix(z_gauge, "z", n)
+    Gx = [g.x for g in x_gauge]
+    Gz = [g.z for g in z_gauge]
 
-    # X-type centralizer vectors: orthogonal to every ZZ gauge generator.
-    Cx = gf2_nullspace(Gz) if len(Gz) else np.eye(n, dtype=np.uint8)
-    Cz = gf2_nullspace(Gx) if len(Gx) else np.eye(n, dtype=np.uint8)
-    lx = _quotient_basis(Cx, Gx)
-    lz = _quotient_basis(Cz, Gz)
+    # X-type centralizer vectors are orthogonal to every ZZ gauge generator,
+    # Z-type ones to every XX; logicals extend the gauge span within them.
+    lx = _quotient_basis(gf2_nullspace(Gz, n), Gx)
+    lz = _quotient_basis(gf2_nullspace(Gx, n), Gz)
     if len(lx) != k or len(lz) != k:
         raise CodeError(
             f"logical operator count mismatch: got {len(lx)} X / {len(lz)} Z, expected k={k}"
         )
-    if k == 0:
-        return ()
-    # Enforce the canonical pairing <X_i, Z_j> = delta_ij.
-    P = (lx @ lz.T) % 2
-    lz = (_gf2_inverse(P).T @ lz) % 2
+    # Enforce the canonical pairing <X_i, Z_j> = delta_ij: Z_i becomes the sum
+    # of the Z_j picked by the solution c of P c = e_i, P[a][j] = <X_a, Z_j>.
+    cols = [sum(((x & z).bit_count() & 1) << a for a, x in enumerate(lx)) for z in lz]
     pairs = []
-    for i in range(k):
-        xop = PauliOp(n, _bits_to_mask(lx[i]), 0, 0)
-        zop = PauliOp(n, 0, _bits_to_mask(lz[i]), 0)
-        pairs.append((xop, zop))
+    for i, x in enumerate(lx):
+        c = gf2_solve(cols, 1 << i)
+        if c is None:
+            raise CodeError("pairing matrix is singular over GF(2)")
+        zmask = 0
+        for j, z in enumerate(lz):
+            if c >> j & 1:
+                zmask ^= z
+        pairs.append((PauliOp(n, x, 0, 0), PauliOp(n, 0, zmask, 0)))
     return tuple(pairs)
-
-
-def gauge_span_matrix(code: SubsystemCode) -> np.ndarray:
-    """Symplectic vectors (rows) of the gauge generating set."""
-    gens = code.gauge_generators
-    return np.array([g.symplectic() for g in gens], dtype=np.uint8).reshape(
-        len(gens), 2 * code.n
-    )
-
-
-def in_gauge_group(code: SubsystemCode, op: PauliOp) -> bool:
-    """Membership of the gauge group up to sign (GF(2) span test)."""
-    G = gauge_span_matrix(code)
-    return gf2_solve(G.T, op.symplectic()) is not None
 
 
 # ---------------------------------------------------------------------------

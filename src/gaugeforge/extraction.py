@@ -17,16 +17,14 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from .codes import CodeMatrix, SubsystemCode, _pauli_on, gauge_span_matrix
+from .codes import CodeMatrix, SubsystemCode, _pauli_on
 from .pauli import (
     NotInSpanError,
     PauliOp,
+    PhaseConsistencyError,
     express_in_basis,
     gf2_rank,
     gf2_solve,
-    in_span,
 )
 
 
@@ -88,12 +86,12 @@ class _State:
         self.aux_z: list[PauliOp] = []
         self.provenance: list[dict] = []
 
-    # -- views of the current submatrix ------------------------------------
-    def row_vec(self, r: int) -> np.ndarray:
-        return self.cm.matrix[r, self.cols].astype(np.uint8)
+    # -- views of the current submatrix, as GF(2) vectors ------------------
+    def row_vec(self, r: int) -> int:
+        return self.cm.row_masks[r] & sum(1 << c for c in self.cols)
 
-    def col_vec(self, c: int) -> np.ndarray:
-        return self.cm.matrix[self.rows, c].astype(np.uint8)
+    def col_vec(self, c: int) -> int:
+        return self.cm.col_masks[c] & sum(1 << r for r in self.rows)
 
     def entry(self, r: int, c: int) -> int:
         return int(self.cm.matrix[r, c])
@@ -129,30 +127,17 @@ class _State:
                                 "stage": stage, "detail": detail})
 
 
-def _minimal_cover_with_free(target, candidates, free):
+def _minimal_cover_with_free(target: int, candidates: list[int], free: list[int]):
     """Smallest (size, then lex) subset D of ``candidates`` such that
     target + sum(D) lies in span(free).  Returns (D indices, free subset)."""
-    t = np.asarray(target, dtype=np.uint8)
-    free = [np.asarray(f, dtype=np.uint8) for f in free]
-    freeM = (np.array(free, dtype=np.uint8) if free
-             else np.zeros((0, t.size), dtype=np.uint8))
-
-    def solve_free(residual):
-        if not len(free):
-            return () if not residual.any() else None
-        sol = gf2_solve(freeM.T, residual)
-        if sol is None:
-            return None
-        return tuple(int(i) for i in np.nonzero(sol)[0])
-
     for size in range(len(candidates) + 1):
         for combo in itertools.combinations(range(len(candidates)), size):
-            acc = t.copy()
+            acc = target
             for i in combo:
-                acc = acc ^ candidates[i]
-            used_free = solve_free(acc)
-            if used_free is not None:
-                return combo, used_free
+                acc ^= candidates[i]
+            used = gf2_solve(free, acc)
+            if used is not None:
+                return combo, tuple(i for i in range(len(free)) if used >> i & 1)
     raise NotInSpanError("top row has no dependency over the remaining rows")
 
 
@@ -173,7 +158,7 @@ def _row_like_extraction(st: _State, axis: str):
     cur = 0  # length of the leading segment currently under consideration
 
     def mat(labels):
-        return np.array([vec(l) for l in labels], dtype=np.uint8).reshape(len(labels), -1)
+        return [vec(l) for l in labels]
 
     while gf2_rank(mat(order)) < len(order):
         if cur > 0:
@@ -287,12 +272,6 @@ def _core_extraction(st: _State):
         st.add_pair(xop, zop, "core", f"{xdet} / {zdet}")
 
 
-def row_extraction(cm: CodeMatrix) -> _State:
-    st = _State(cm)
-    _row_like_extraction(st, "row")
-    return st
-
-
 def extract_reduced_basis(cm: CodeMatrix) -> ReducedBasis:
     st = _State(cm)
     _row_like_extraction(st, "row")
@@ -300,7 +279,7 @@ def extract_reduced_basis(cm: CodeMatrix) -> ReducedBasis:
     _core_extraction(st)
 
     m_r, m_c = cm.shape
-    k = gf2_rank(cm.matrix)
+    k = gf2_rank(cm.row_masks)
     expect_aux = cm.n - (m_r - k) - (m_c - k) - k
     if (len(st.z_stabs), len(st.x_stabs), len(st.aux_x)) != (m_r - k, m_c - k, expect_aux):
         raise ExtractionError(
@@ -313,6 +292,17 @@ def extract_reduced_basis(cm: CodeMatrix) -> ReducedBasis:
         aux_pairs=list(zip(st.aux_x, st.aux_z)),
         provenance=st.provenance,
     )
+
+
+def _sign_failure(op: PauliOp, basis: list[PauliOp], missing: str) -> str | None:
+    """None when ``op`` is +1 times a product of ``basis``, else the reason."""
+    try:
+        _, sign = express_in_basis(op, basis)
+    except NotInSpanError:
+        return missing
+    except PhaseConsistencyError:
+        return "phase +/-i"
+    return None if sign == 1 else f"sign {sign}"
 
 
 def verify_reduced_basis(code: SubsystemCode, rb: ReducedBasis) -> VerificationReport:
@@ -357,7 +347,6 @@ def verify_reduced_basis(code: SubsystemCode, rb: ReducedBasis) -> VerificationR
     # every element of rb lies in the gauge group with sign +1
     x_basis = list(code.x_gauge)
     z_basis = list(code.z_gauge)
-    ok = True
     bad = []
     for name, op, basis in (
         [(f"x_stab[{i}]", s, x_basis) for i, s in enumerate(rb.x_stabilizers)]
@@ -365,40 +354,25 @@ def verify_reduced_basis(code: SubsystemCode, rb: ReducedBasis) -> VerificationR
         + [(f"aux_x[{i}]", p[0], x_basis) for i, p in enumerate(aux)]
         + [(f"aux_z[{i}]", p[1], z_basis) for i, p in enumerate(aux)]
     ):
-        try:
-            _, sign = express_in_basis(op, basis)
-            if sign != 1:
-                ok, bad = False, bad + [f"{name}: sign {sign}"]
-        except NotInSpanError:
-            ok, bad = False, bad + [f"{name}: outside gauge group"]
-    rep.add("membership", ok, "; ".join(bad))
+        why = _sign_failure(op, basis, "outside gauge group")
+        if why:
+            bad.append(f"{name}: {why}")
+    rep.add("membership", not bad, "; ".join(bad))
 
     # every gauge generator decomposes over same-type rb operators, sign +1
-    ok = True
     bad = []
-    for i, g in enumerate(code.x_gauge):
-        try:
-            _, sign = express_in_basis(g, list(rb.x_stabilizers) + rb.aux_x())
-            if sign != 1:
-                ok, bad = False, bad + [f"X gauge {i}: sign {sign}"]
-        except NotInSpanError:
-            ok, bad = False, bad + [f"X gauge {i}: no decomposition"]
-    for i, g in enumerate(code.z_gauge):
-        try:
-            _, sign = express_in_basis(g, list(rb.z_stabilizers) + rb.aux_z())
-            if sign != 1:
-                ok, bad = False, bad + [f"Z gauge {i}: sign {sign}"]
-        except NotInSpanError:
-            ok, bad = False, bad + [f"Z gauge {i}: no decomposition"]
-    rep.add("gauge_decomposition", ok, "; ".join(bad))
+    for label, gens, basis in (
+        ("X gauge", code.x_gauge, list(rb.x_stabilizers) + rb.aux_x()),
+        ("Z gauge", code.z_gauge, list(rb.z_stabilizers) + rb.aux_z()),
+    ):
+        for i, g in enumerate(gens):
+            why = _sign_failure(g, basis, "no decomposition")
+            if why:
+                bad.append(f"{label} {i}: {why}")
+    rep.add("gauge_decomposition", not bad, "; ".join(bad))
 
-    G = gauge_span_matrix(code)
-    R = np.array(
-        [op.symplectic() for op in stabs]
-        + [p[0].symplectic() for p in aux]
-        + [p[1].symplectic() for p in aux],
-        dtype=np.uint8,
-    ).reshape(len(stabs) + 2 * len(aux), 2 * cm.n)
-    span_equal = gf2_rank(G) == gf2_rank(R) == gf2_rank(np.vstack([G, R]))
+    G = [g.x | g.z << g.n for g in code.gauge_generators]
+    R = [op.x | op.z << op.n for op in stabs + rb.aux_x() + rb.aux_z()]
+    span_equal = gf2_rank(G) == gf2_rank(R) == gf2_rank(G + R)
     rep.add("span_equality", span_equal, "" if span_equal else "generated groups differ")
     return rep

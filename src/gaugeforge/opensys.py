@@ -11,7 +11,7 @@ rad/s, time in seconds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -124,7 +124,8 @@ def davies_generator_from_h(H: np.ndarray, b: BathSpec,
     if dim > 1024:
         raise OpenSysError("dense eigendecomposition limited to dimension 1024")
     scale = max(1.0, float(np.abs(H).max()))
-    assert np.abs(H - H.conj().T).max() <= 1e-12 * scale, "Hamiltonian not Hermitian"
+    if np.abs(H - H.conj().T).max() > 1e-12 * scale:
+        raise OpenSysError("Hamiltonian not Hermitian")
     E, V = np.linalg.eigh(H)
     tol = 1e-9 * scale
     groups = _group(E, tol)
@@ -160,9 +161,16 @@ def single_qubit_couplings(n: int) -> list[np.ndarray]:
     return ops
 
 
-def davies_generator(code: SubsystemCode, w: WeightSpec, b: BathSpec) -> DaviesGenerator:
+def _check_block_size(code: SubsystemCode):
+    """The Davies generator is dense in 2^n: refuse a block before any dense work."""
     if code.n > 10:
-        raise OpenSysError("open-system simulation limited to n <= 10 qubits")
+        raise OpenSysError(
+            f"open-system simulation limited to n <= 10 qubits per block, got n={code.n}"
+        )
+
+
+def davies_generator(code: SubsystemCode, w: WeightSpec, b: BathSpec) -> DaviesGenerator:
+    _check_block_size(code)
     H = build_full_hamiltonian(code, w).dense()
     return davies_generator_from_h(H, b, single_qubit_couplings(code.n))
 
@@ -375,7 +383,7 @@ def purity(rho: np.ndarray) -> float:
     return float(np.trace(rho @ rho).real)
 
 
-_YY = None
+_YY = np.kron([[0, -1j], [1j, 0]], [[0, -1j], [1j, 0]])
 
 
 def entanglement_of_formation(rho_L: np.ndarray) -> float:
@@ -384,7 +392,6 @@ def entanglement_of_formation(rho_L: np.ndarray) -> float:
     Non-positive inputs (possible after decoding a leaked state) are clipped
     to the nearest density matrix for this metric only.
     """
-    global _YY
     if rho_L.shape != (4, 4):
         raise OpenSysError("entanglement of formation requires a two-qubit state")
     vals, vecs = np.linalg.eigh((rho_L + rho_L.conj().T) / 2)
@@ -392,9 +399,6 @@ def entanglement_of_formation(rho_L: np.ndarray) -> float:
     if vals.sum() <= 0:
         raise OpenSysError("state has no positive part")
     rho = (vecs * (vals / vals.sum())) @ vecs.conj().T
-    if _YY is None:
-        Y = np.array([[0, -1j], [1j, 0]])
-        _YY = np.kron(Y, Y)
     rho_t = _YY @ rho.conj() @ _YY
     ev = np.linalg.eigvals(rho @ rho_t)
     lam = np.sqrt(np.clip(ev.real, 0, None))
@@ -440,7 +444,7 @@ def _logical_metrics(code, rho0_L, want_eof):
     return fn
 
 
-def _physical_metrics(rho0, want_eof_code=None):
+def _physical_metrics(rho0):
     def fn(rho, t):
         return {"trace_distance": trace_distance(rho, rho0), "purity": purity(rho)}
     return fn
@@ -458,6 +462,7 @@ def simulate_code(code: SubsystemCode, rho_L: np.ndarray, gamma: float,
                   bath: BathSpec, t_grid, metrics: str = "logical") -> Trajectory:
     """Single-block simulation: encode, build the Davies generator for
     H = -lambda * sum(G) with lambda = gamma * omega_T, evolve, measure."""
+    _check_block_size(code)
     lam = gamma * bath.omega_T
     w = WeightSpec.uniform(lam, len(code.gauge_generators))
     rho0 = encode_state(rho_L, code, w)
@@ -502,6 +507,7 @@ def simulate_two_blocks(block_code: SubsystemCode, composite_code: SubsystemCode
     """
     if composite_code.n != 2 * block_code.n or composite_code.k != 2 * block_code.k:
         raise OpenSysError("composite code is not two copies of the block code")
+    _check_block_size(block_code)
     lam = gamma * bath.omega_T
     w_block = WeightSpec.uniform(lam, len(block_code.gauge_generators))
     w_full = WeightSpec.uniform(lam, len(composite_code.gauge_generators))
@@ -535,10 +541,3 @@ def simulate_two_blocks(block_code: SubsystemCode, composite_code: SubsystemCode
         metrics_list.append(m)
     return Trajectory(times=np.asarray(t_grid, dtype=float), metrics=metrics_list,
                       final_state=rho_lab)
-
-
-def simulate_bare_qubit(rho_L: np.ndarray, bath: BathSpec, t_grid) -> Trajectory:
-    """Unencoded single qubit under the same noise (H = 0 baseline)."""
-    g = davies_generator_from_h(np.zeros((2, 2)), bath, single_qubit_couplings(1))
-    fn = _physical_metrics(rho_L.astype(complex))
-    return evolve(rho_L.astype(complex), g, t_grid, metrics_fn=fn)

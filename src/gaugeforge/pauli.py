@@ -12,11 +12,8 @@ converts to the raw X^x Z^z ordering and back.
 
 from __future__ import annotations
 
-import itertools
 import re
 from dataclasses import dataclass
-
-import numpy as np
 
 MAX_QUBITS = 63
 
@@ -118,14 +115,6 @@ class PauliOp:
             raise DimensionMismatchError(f"qubit counts differ: {self.n} vs {other.n}")
         return (_popcount(self.x & other.z) + _popcount(self.z & other.x)) % 2 == 0
 
-    def symplectic(self) -> np.ndarray:
-        """Length-2n binary vector (x-part then z-part)."""
-        out = np.zeros(2 * self.n, dtype=np.uint8)
-        for j in range(self.n):
-            out[j] = (self.x >> j) & 1
-            out[self.n + j] = (self.z >> j) & 1
-        return out
-
     def to_string(self, labels: list[str] | None = None) -> str:
         """Render in the operator text syntax, e.g. ``- X[1,1] X[1,2]``."""
         prefix = {0: "", 1: "i ", 2: "- ", 3: "-i "}[self.phase]
@@ -190,125 +179,91 @@ def pauli_from_string(s: str, n: int, coord_map: dict[tuple[int, int], int] | No
 
 
 # ---------------------------------------------------------------------------
-# GF(2) linear algebra on numpy uint8 matrices
+# GF(2) linear algebra on packed-int vectors: bit j is coordinate j.  The
+# symplectic vector of a PauliOp is ``op.x | op.z << op.n``.
 # ---------------------------------------------------------------------------
 
-def as_gf2(M) -> np.ndarray:
-    A = np.asarray(M, dtype=np.uint8) % 2
-    if A.ndim != 2:
-        raise PauliError("expected a 2D binary matrix")
-    return A
+def _echelon(vectors) -> dict[int, tuple[int, int]]:
+    """Lowest set bit -> (reduced vector, mask of the input vectors summed).
+
+    A vector in the span of the earlier ones reduces to zero and is left out,
+    so every mask uses only the greedy independent prefix, in input order.
+    """
+    pivots: dict[int, tuple[int, int]] = {}
+    for i, v in enumerate(vectors):
+        used = 1 << i
+        while v:
+            low = v & -v
+            if low not in pivots:
+                pivots[low] = (v, used)
+                break
+            pv, pused = pivots[low]
+            v ^= pv
+            used ^= pused
+    return pivots
 
 
-def gf2_row_reduce(M) -> tuple[np.ndarray, list[int]]:
-    """Row-echelon form over GF(2); returns (R, pivot column list)."""
-    R = as_gf2(M).copy()
-    rows, cols = R.shape
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        if r >= rows:
-            break
-        hit = np.nonzero(R[r:, c])[0]
-        if hit.size == 0:
+def gf2_rank(vectors) -> int:
+    return len(_echelon(vectors))
+
+
+def gf2_solve(vectors, target: int) -> int | None:
+    """Mask of ``vectors`` summing to ``target`` (bit i set when vectors[i] is
+    used), or None when ``target`` is outside their span.  Vectors that depend
+    on earlier ones are never used, which makes the solution unique."""
+    pivots = _echelon(vectors)
+    used = 0
+    while target:
+        low = target & -target
+        if low not in pivots:
+            return None
+        pv, pused = pivots[low]
+        target ^= pv
+        used ^= pused
+    return used
+
+
+def gf2_nullspace(rows, ncols: int) -> list[int]:
+    """Basis of {x : row . x = 0 for every row} over ``ncols`` coordinates.
+
+    One vector per free column of the reduced row echelon form, in ascending
+    column order; the vector for free column f has bit f set and the pivot
+    bits of the rows that contain f."""
+    reduced = {low: v for low, (v, _) in _echelon(rows).items()}
+    for low in sorted(reduced):
+        for other, v in reduced.items():
+            if other != low and v & low:
+                reduced[other] = v ^ reduced[low]
+    basis = []
+    for f in range(ncols):
+        bit = 1 << f
+        if bit in reduced:
             continue
-        p = r + hit[0]
-        if p != r:
-            R[[r, p]] = R[[p, r]]
-        others = np.nonzero(R[:, c])[0]
-        for o in others:
-            if o != r:
-                R[o] ^= R[r]
-        pivots.append(c)
-        r += 1
-    return R, pivots
-
-
-def gf2_rank(M) -> int:
-    A = as_gf2(M)
-    if A.size == 0:
-        return 0
-    return len(gf2_row_reduce(A)[1])
-
-
-def gf2_solve(A, b) -> np.ndarray | None:
-    """One solution x of A x = b over GF(2) (free variables zero), or None."""
-    A = as_gf2(A)
-    b = np.asarray(b, dtype=np.uint8) % 2
-    aug = np.hstack([A, b.reshape(-1, 1)])
-    R, pivots = gf2_row_reduce(aug)
-    ncols = A.shape[1]
-    if ncols in pivots:
-        return None  # pivot in the RHS column: inconsistent
-    x = np.zeros(ncols, dtype=np.uint8)
-    for r, c in enumerate(pivots):
-        x[c] = R[r, ncols]
-    return x
-
-
-def gf2_nullspace(M) -> np.ndarray:
-    """Basis of {x : M x = 0}, one vector per row (echelon-canonical)."""
-    A = as_gf2(M)
-    rows, cols = A.shape
-    R, pivots = gf2_row_reduce(A)
-    free = [c for c in range(cols) if c not in pivots]
-    basis = np.zeros((len(free), cols), dtype=np.uint8)
-    for i, f in enumerate(free):
-        basis[i, f] = 1
-        for r, c in enumerate(pivots):
-            basis[i, c] = R[r, f]
+        vec = bit
+        for low, v in reduced.items():
+            if v & bit:
+                vec |= low
+        basis.append(vec)
     return basis
 
 
-def in_span(vectors, target) -> bool:
-    V = as_gf2(vectors)
-    t = np.asarray(target, dtype=np.uint8) % 2
-    if V.shape[0] == 0:
-        return not t.any()
-    return gf2_solve(V.T, t) is not None
-
-
-def minimal_dependent_cover(target, candidates) -> tuple[int, ...]:
-    """Smallest index set S with sum_{i in S} candidates[i] = target (GF(2)).
-
-    Ties are broken by lexicographically smallest index set.  Raises
-    NotInSpanError when the target is outside the candidates' span.
-    """
-    cands = [np.asarray(c, dtype=np.uint8) % 2 for c in candidates]
-    t = np.asarray(target, dtype=np.uint8) % 2
-    if cands and not in_span(np.array(cands), t):
-        raise NotInSpanError("target not in span of candidates")
-    if not cands:
-        if t.any():
-            raise NotInSpanError("target not in span of candidates")
-        return ()
-    for size in range(0 if not t.any() else 1, len(cands) + 1):
-        for combo in itertools.combinations(range(len(cands)), size):
-            acc = np.zeros_like(t)
-            for i in combo:
-                acc ^= cands[i]
-            if np.array_equal(acc, t):
-                return combo
-    raise NotInSpanError("target not in span of candidates")  # pragma: no cover
-
-
-def express_in_basis(target: PauliOp, basis: list[PauliOp]) -> tuple[tuple[int, ...], int]:
+def express_in_basis(target: PauliOp, basis: list[PauliOp]) -> tuple[int, int]:
     """Write ``target = sign * prod basis[i]^(e_i)`` (factors in basis order).
 
-    Returns (exponent tuple over GF(2), sign in {+1, -1}).  The sign comes
-    from explicit Pauli multiplication, never from the bit solve alone.
+    Returns (e, sign): bit i of the mask ``e`` is the exponent e_i, and the
+    sign, +1 or -1, comes from explicit Pauli multiplication, never from the
+    bit solve alone.
     """
     if not basis:
         raise NotInSpanError("empty basis")
     n = target.n
-    B = np.array([p.symplectic() for p in basis], dtype=np.uint8)
-    e = gf2_solve(B.T, target.symplectic())
+    e = gf2_solve([p.x | p.z << p.n for p in basis], target.x | target.z << n)
     if e is None:
         raise NotInSpanError("target not in the GF(2) span of the basis")
     prod = PauliOp.identity(n)
-    for i, bit in enumerate(e):
-        if bit:
-            prod = prod * basis[i]
+    for i, p in enumerate(basis):
+        if e >> i & 1:
+            prod = prod * p
     diff = (target.phase - prod.phase) % 4
     if diff == 0:
         sign = 1
@@ -316,4 +271,4 @@ def express_in_basis(target: PauliOp, basis: list[PauliOp]) -> tuple[tuple[int, 
         sign = -1
     else:
         raise PhaseConsistencyError("decomposition differs from target by a factor of +/-i")
-    return tuple(int(v) for v in e), sign
+    return e, sign

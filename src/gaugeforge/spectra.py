@@ -19,7 +19,7 @@ import scipy.sparse.linalg as spla
 
 from .codes import SubsystemCode
 from .extraction import ReducedBasis
-from .pauli import PauliOp, express_in_basis
+from .pauli import express_in_basis
 
 THREADS_ENV = "GAUGEFORGE_THREADS"
 
@@ -116,17 +116,12 @@ def _decompose_terms(code: SubsystemCode, rb: ReducedBasis, weights: np.ndarray)
         basis = x_basis if is_x else z_basis
         ns = n_xs if is_x else n_zs
         e, sign = express_in_basis(g, basis)
-        stab_idx = [i for i in range(ns) if e[i]]
-        mask = 0
-        for j in range(rb.num_aux):
-            if e[ns + j]:
-                mask |= 1 << j
         terms.append({
             "generator": idx,
             "type": "X" if is_x else "Z",
             "weight": float(weights[idx]),
-            "stabilizers": stab_idx,
-            "aux_mask": mask,
+            "stabilizers": [i for i in range(ns) if e >> i & 1],
+            "aux_mask": e >> ns,
             "sign": sign,
         })
     return terms
@@ -165,7 +160,8 @@ def build_sector_hamiltonian(rb: ReducedBasis, code: SubsystemCode,
 def sector_spectrum(sh: SectorHamiltonian) -> np.ndarray:
     H = sh.matrix
     scale = max(np.abs(H).max(), 1.0)
-    assert np.abs(H - H.T).max() <= 1e-12 * scale, "sector Hamiltonian is not symmetric"
+    if np.abs(H - H.T).max() > 1e-12 * scale:
+        raise SpectraError("sector Hamiltonian is not symmetric")
     return np.linalg.eigvalsh((H + H.T) / 2)
 
 

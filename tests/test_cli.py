@@ -3,9 +3,15 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
+import gaugeforge
 from gaugeforge.cli import main
 
 M412 = "1 1\n1 1\n"
@@ -182,3 +188,92 @@ def test_exit_code_1_for_verification_failure(capsys, monkeypatch, tmp_path):
     m.write_text(M412)
     code, _, err = run(capsys, "code", "reduce", str(m))
     assert code == 1 and "verification failed" in err
+
+
+def test_exit_code_2_for_basis_outside_gauge_group(capsys, matrices, tmp_path):
+    code, out, _ = run(capsys, "code", "reduce", matrices["m412"])
+    assert code == 0
+    rep = json.loads(out)
+    rep["x_stabilizers"] = ["X[1,1]"]
+    basis = tmp_path / "bad-basis.json"
+    basis.write_text(json.dumps(rep))
+    code, _, err = run(capsys, "spectrum", matrices["m412"], "--basis", str(basis))
+    assert code == 2
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_exit_code_1_for_spectrum_extraction_failure(capsys, monkeypatch, matrices):
+    import gaugeforge.cli as cli_mod
+    from gaugeforge.extraction import ExtractionError
+
+    def fake_extract(cm):
+        raise ExtractionError("injected failure")
+
+    monkeypatch.setattr(cli_mod.extraction, "extract_reduced_basis", fake_extract)
+    code, _, err = run(capsys, "spectrum", matrices["m412"])
+    assert code == 1 and "injected failure" in err
+
+
+def test_exit_code_2_for_logical_qubit_mismatch(capsys, monkeypatch, matrices):
+    import gaugeforge.cli as cli_mod
+
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("simulation started before the input check")
+
+    monkeypatch.setattr(cli_mod.opensys, "simulate_code", no_simulation)
+    monkeypatch.setattr(cli_mod.opensys, "simulate_two_blocks", no_simulation)
+    for argv in (["--initial", "plusL"],                          # k = 2
+                 ["--initial", "bell"],                           # on the k = 1 code
+                 ["--initial", "bell", "--blocks", "separate"]):  # k = 4
+        name = "m412" if argv == ["--initial", "bell"] else "m622"
+        code, _, err = run(capsys, "simulate", matrices[name], *argv)
+        assert code == 2 and "logical qubit" in err
+
+
+def test_simulate_refuses_oversized_block_before_dense_work(capsys, matrices):
+    start = time.perf_counter()
+    code, _, err = run(capsys, "simulate", matrices["m55"], "--initial", "bell")
+    assert time.perf_counter() - start < 2.0
+    assert code == 1
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+# SHA-256 of each report with its ``config`` key (which holds the input path)
+# removed.  The 16-qubit sector eigenvalues differ in their last bits between
+# BLAS thread counts, so the reports are made in a child process with one.
+GOLDEN_REPORTS = {
+    ("code", "info", "m412"): "221466d32ad00f2404057438501ecfd02d323776cc1a494ec12829b4a6b68f42",
+    ("code", "reduce", "m412"): "4cbdfe4722cd3252619226996fc5e1acf1d25df537b6cf6d205af49fd625fefa",
+    ("spectrum", "m412"): "99210af770fd688a77a8ce21bcef86962f505838d60191ff43417f0d0c32cee0",
+    ("code", "info", "m622"): "cdc1ecd96ba4e0517f42d1eddda08811a63b0abbbd4ebeae846782efd91379fe",
+    ("code", "reduce", "m622"): "588edc10bcb06466977bfc4a3cedd66e97194bbc966663af83f90ddd1833ddb6",
+    ("spectrum", "m622"): "64f95f3ec1bf920aff7575a5315bc34ca948b3a1b0e09e30c39160061c95d233",
+    ("code", "info", "m55"): "0c7b4cb1b705f82d608ab5113713b97646a3ea4bf2878bf40fb4d29f2d5d2a03",
+    ("code", "reduce", "m55"): "8c26464fb89e5a52c2ef7b6ef9b8e29920fb387ab029a737b27087f8e6716f24",
+    ("spectrum", "m55"): "74b6dd61bde705c57db84fa2b1685381f011df69e4a99cbc4e35111f11227b6c",
+}
+
+REPORT_DIGESTS = """
+import contextlib, hashlib, io, json, sys
+from gaugeforge.cli import main
+for argv in json.loads(sys.argv[1]):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        rc = main(argv)
+    rep = json.loads(buf.getvalue())
+    del rep["config"]
+    text = json.dumps(rep, indent=2, sort_keys=True) + "\\n"
+    print(rc, hashlib.sha256(text.encode()).hexdigest())
+"""
+
+
+def test_reports_match_golden_digests(matrices):
+    argvs = [[*key[:-1], matrices[key[-1]]] for key in GOLDEN_REPORTS]
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    src = str(Path(gaugeforge.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", REPORT_DIGESTS, json.dumps(argvs)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    got = dict(zip(GOLDEN_REPORTS, proc.stdout.split("\n")))
+    assert got == {key: f"0 {digest}" for key, digest in GOLDEN_REPORTS.items()}

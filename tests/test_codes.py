@@ -17,11 +17,9 @@ from gaugeforge.codes import (
     distance,
     encode_ising,
     encode_operator,
-    gauge_span_matrix,
-    in_gauge_group,
     load_code_matrix,
 )
-from gaugeforge.pauli import PauliOp, gf2_rank
+from gaugeforge.pauli import express_in_basis
 
 M412 = [[1, 1], [1, 1]]
 M622 = [[1, 1, 0], [0, 1, 1], [1, 0, 1]]
@@ -51,6 +49,8 @@ def test_code_matrix_basics():
     assert cm.qubit_labels() == ["[1,1]", "[1,2]", "[2,1]", "[2,2]"]
     assert cm.row_qubits(0) == [0, 1]
     assert cm.col_qubits(1) == [1, 3]
+    assert CodeMatrix.from_matrix(M622).row_masks == (0b011, 0b110, 0b101)
+    assert CodeMatrix.from_matrix(M622).col_masks == (0b101, 0b011, 0b110)
 
 
 def test_code_matrix_rejects_zero_lines():
@@ -124,13 +124,22 @@ def test_sixteen_qubit_code_parameters():
     assert code.num_stabilizers == 6
 
 
+def brute_rank(M):
+    """Oracle: GF(2) rank as log2 of the number of row combinations."""
+    span = {0}
+    for row in np.asarray(M):
+        v = int("".join(map(str, row)), 2)
+        span |= {s ^ v for s in span}
+    return len(span).bit_length() - 1
+
+
 def assert_code_consistent(code):
     assert code.n == code.matrix.n
-    assert code.k == gf2_rank(code.matrix.matrix)
+    assert code.k == brute_rank(code.matrix.matrix)
     for s in code.stabilizer_generators:
         for g in code.gauge_generators:
             assert s.commutes(g)
-        assert in_gauge_group(code, s)
+        assert express_in_basis(s, list(code.gauge_generators))[1] == 1
     for i, (xi, zi) in enumerate(code.logical_pairs):
         assert not xi.commutes(zi)
         for g in code.gauge_generators:
@@ -152,10 +161,9 @@ def test_all_pairs_spans_same_gauge_group():
         cm = CodeMatrix.from_matrix(M)
         nn = build_code(cm)
         ap = build_code(cm, all_pairs=True)
-        span_nn = gauge_span_matrix(nn)
-        span_ap = gauge_span_matrix(ap)
-        assert gf2_rank(span_nn) == gf2_rank(span_ap)
-        assert gf2_rank(np.vstack([span_nn, span_ap])) == gf2_rank(span_nn)
+        for a, b in ((nn, ap), (ap, nn)):
+            for g in a.gauge_generators:
+                express_in_basis(g, list(b.gauge_generators))  # raises outside the span
 
 
 def test_combined_matrix_is_block_diagonal():

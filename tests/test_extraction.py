@@ -168,3 +168,12 @@ def test_verifier_flags_broken_basis():
     )
     report = verify_reduced_basis(code, bad)
     assert not report.ok
+    # i times a gauge element: recorded as a failed check, not raised
+    phased = ReducedBasis(
+        x_stabilizers=[cm.parse("Y[1,1] Z[1,1] X[1,2] X[2,1] X[2,2]")],
+        z_stabilizers=rb.z_stabilizers,
+        aux_pairs=rb.aux_pairs,
+        provenance=[],
+    )
+    report = verify_reduced_basis(code, phased)
+    assert ("membership", "x_stab[0]: phase +/-i") in report.violations

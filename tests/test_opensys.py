@@ -304,3 +304,9 @@ def test_two_block_shape_guard():
 def test_bare_hamiltonian_generator_has_single_frequency():
     g = davies_generator_from_h(np.zeros((2, 2)), BathSpec(), single_qubit_couplings(1))
     assert all(omega == 0 for omega, _, _ in g.jumps)
+
+
+def test_davies_generator_rejects_non_hermitian_hamiltonian():
+    H = np.array([[0.0, 1j], [1j, 0.0]])
+    with pytest.raises(OpenSysError):
+        davies_generator_from_h(H, BathSpec(), single_qubit_couplings(1))

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from gaugeforge.pauli import (
     DimensionMismatchError,
@@ -15,10 +17,7 @@ from gaugeforge.pauli import (
     express_in_basis,
     gf2_nullspace,
     gf2_rank,
-    gf2_row_reduce,
     gf2_solve,
-    in_span,
-    minimal_dependent_cover,
     pauli_from_string,
 )
 
@@ -130,64 +129,71 @@ def test_parse_errors():
 
 
 # ---------------------------------------------------------------------------
-# GF(2) linear algebra, cross-checked with rational-rank and brute force
+# GF(2) linear algebra on packed ints, cross-checked by span enumeration
 # ---------------------------------------------------------------------------
 
-def brute_rank(M):
-    """Oracle: count distinct nonzero elements of the row space, rank = log2."""
-    M = np.asarray(M, dtype=np.uint8) % 2
+@st.composite
+def gf2_matrices(draw):
+    """(rows, ncols): up to 8 row vectors over up to 8 coordinates."""
+    ncols = draw(st.integers(1, 8))
+    rows = draw(st.lists(st.integers(0, (1 << ncols) - 1), max_size=8))
+    return rows, ncols
+
+
+def brute_span(vectors) -> set[int]:
     span = {0}
-    for row in M:
-        mask = int("".join(map(str, row[::-1])), 2) if row.size else 0
-        span |= {s ^ mask for s in span}
-    return int(np.log2(len(span)))
+    for v in vectors:
+        span |= {s ^ v for s in span}
+    return span
 
 
-def test_rank_matches_brute_force():
-    rng = np.random.default_rng(5)
-    for _ in range(100):
-        M = rng.integers(0, 2, size=(int(rng.integers(1, 7)), int(rng.integers(1, 7))))
-        assert gf2_rank(M) == brute_rank(M)
+def brute_rank(vectors) -> int:
+    """Oracle: count the elements of the span, rank = log2."""
+    return len(brute_span(vectors)).bit_length() - 1
 
 
-def test_row_reduce_pivots_and_idempotence():
-    rng = np.random.default_rng(9)
-    for _ in range(50):
-        M = rng.integers(0, 2, size=(5, 6))
-        R, pivots = gf2_row_reduce(M)
-        assert len(pivots) == gf2_rank(M)
-        R2, p2 = gf2_row_reduce(R)
-        assert np.array_equal(R, R2) and p2 == pivots
+def combine(vectors, mask) -> int:
+    out = 0
+    for i, v in enumerate(vectors):
+        if mask >> i & 1:
+            out ^= v
+    return out
 
 
-def test_solve_and_nullspace():
-    rng = np.random.default_rng(13)
-    for _ in range(100):
-        A = rng.integers(0, 2, size=(4, 6))
-        x_true = rng.integers(0, 2, size=6)
-        b = (A @ x_true) % 2
-        x = gf2_solve(A, b)
-        assert x is not None and np.array_equal((A @ x) % 2, b)
-        N = gf2_nullspace(A)
-        assert N.shape[0] == 6 - gf2_rank(A)
-        if N.size:
-            assert not ((A @ N.T) % 2).any()
+@given(gf2_matrices())
+def test_rank_matches_brute_force(m):
+    rows, _ = m
+    assert gf2_rank(rows) == brute_rank(rows)
 
 
-def test_solve_inconsistent_returns_none():
-    A = np.array([[1, 0], [1, 0]])
-    assert gf2_solve(A, [1, 0]) is None
+@given(gf2_matrices(), st.data())
+def test_solve_and_nullspace(m, data):
+    rows, ncols = m
+    target = combine(rows, data.draw(st.integers(0, (1 << len(rows)) - 1)))
+    used = gf2_solve(rows, target)
+    assert used is not None and combine(rows, used) == target
+    # only the greedy independent prefix is used: no vector in the span of earlier ones
+    for i, v in enumerate(rows):
+        if used >> i & 1:
+            assert v not in brute_span(rows[:i])
+
+    null = gf2_nullspace(rows, ncols)
+    assert len(null) == ncols - brute_rank(rows)
+    assert all((r & v).bit_count() % 2 == 0 for r in rows for v in null)
+    # canonical basis: one vector per free column, ascending, carrying no other
+    # free column; column c is free when it depends on the columns before it
+    cols = [sum((r >> c & 1) << i for i, r in enumerate(rows)) for c in range(ncols)]
+    free = [c for c in range(ncols) if cols[c] in brute_span(cols[:c])]
+    free_bits = sum(1 << c for c in free)
+    assert [v & free_bits for v in null] == [1 << c for c in free]
 
 
-def test_in_span_and_minimal_cover():
-    vs = np.array([[1, 1, 0], [0, 1, 1]])
-    assert in_span(vs, [1, 0, 1])
-    assert not in_span(vs, [1, 0, 0])
-    assert minimal_dependent_cover([1, 0, 1], list(vs)) == (0, 1)
-    assert minimal_dependent_cover([1, 1, 0], list(vs)) == (0,)
-    assert minimal_dependent_cover([0, 0, 0], list(vs)) == ()
-    with pytest.raises(NotInSpanError):
-        minimal_dependent_cover([1, 0, 0], list(vs))
+@given(gf2_matrices(), st.integers(0, 255))
+def test_solve_inconsistent_returns_none(m, target):
+    rows, ncols = m
+    target &= (1 << ncols) - 1
+    assert (gf2_solve(rows, target) is None) == (target not in brute_span(rows))
+    assert gf2_solve([0b11, 0b00], 0b01) is None
 
 
 def test_express_in_basis_reconstructs_with_sign():
@@ -208,9 +214,9 @@ def test_express_in_basis_reconstructs_with_sign():
             # the error is the documented contract for that case
             continue
         prod = PauliOp.identity(n)
-        for i, bit in enumerate(e):
-            if bit:
-                prod = prod * basis[i]
+        for i, p in enumerate(basis):
+            if e >> i & 1:
+                prod = prod * p
         assert prod * PauliOp(n, 0, 0, 0 if sign == 1 else 2) == target
 
 

@@ -11,6 +11,7 @@ import pytest
 from gaugeforge.codes import CodeMatrix, build_code
 from gaugeforge.extraction import extract_reduced_basis
 from gaugeforge.spectra import (
+    SectorHamiltonian,
     SpectraError,
     WeightSpec,
     analytic_oracle_412,
@@ -169,6 +170,12 @@ def test_bad_sector_rejected():
         build_sector_hamiltonian(rb, code, w, (1,))
     with pytest.raises(SpectraError):
         build_sector_hamiltonian(rb, code, w, (1, 0))
+
+
+def test_sector_spectrum_rejects_non_symmetric_matrix():
+    sh = SectorHamiltonian(sector=(1,), matrix=np.array([[0.0, 1.0], [0.0, 0.0]]))
+    with pytest.raises(SpectraError):
+        sector_spectrum(sh)
 
 
 def test_thread_cap_env(monkeypatch):
