@@ -39,8 +39,8 @@ import dataclasses
 import itertools
 import os
 
-# one BLAS thread per sector solve: energy_separation already runs sectors
-# on a thread pool
+# one BLAS thread, so the recorded values are reproducible: the sector
+# eigenvalues differ in their last bits between BLAS thread counts
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np  # noqa: E402

@@ -49,7 +49,6 @@ from .spectra import (
     build_full_hamiltonian,
     energy_separation,
     full_ground_energy,
-    full_spectrum,
 )
 
 __version__ = "0.1.0"
@@ -85,7 +84,6 @@ __all__ = [
     "express_in_basis",
     "extract_reduced_basis",
     "full_ground_energy",
-    "full_spectrum",
     "load_code_matrix",
     "pauli_from_string",
     "purity",

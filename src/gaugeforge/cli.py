@@ -42,6 +42,10 @@ def _read_matrix(path: str) -> tuple[CodeMatrix, str]:
         cm = codes.load_code_matrix(raw.decode("utf-8"))
     except (UnicodeDecodeError, PauliError, codes.CodeError, ValueError) as exc:
         raise InputError(f"cannot parse matrix file {path}: {exc}") from exc
+    try:
+        codes.check_size(cm)
+    except codes.CodeError as exc:
+        raise InputError(f"matrix file {path}: {exc}") from exc
     return cm, digest
 
 

@@ -14,7 +14,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .pauli import PauliOp, gf2_nullspace, gf2_rank, gf2_solve, pauli_from_string
+from .pauli import MAX_QUBITS, PauliOp, gf2_nullspace, gf2_rank, gf2_solve, pauli_from_string
+
+DISTANCE_MAX_DIM = 20  # rows or columns; distance enumerates 2^m combinations
 
 
 class CodeError(Exception):
@@ -133,14 +135,23 @@ def _pauli_on(cm: CodeMatrix, letter: str, qubits) -> PauliOp:
     return PauliOp(cm.n, mask, 0, 0) if letter == "X" else PauliOp(cm.n, 0, mask, 0)
 
 
-def distance(cm: CodeMatrix, max_dim: int = 20) -> int:
+def check_size(cm: CodeMatrix):
+    """Raise a CodeError when ``build_code`` cannot take ``cm``: more qubits
+    than a PauliOp holds, or more rows or columns than ``distance`` enumerates."""
+    if cm.n > MAX_QUBITS:
+        raise CodeFormatError(f"{cm.n} qubits, more than the {MAX_QUBITS} supported")
+    m_r, m_c = cm.shape
+    if m_r > DISTANCE_MAX_DIM or m_c > DISTANCE_MAX_DIM:
+        raise DistanceSizeError(
+            f"matrix {m_r}x{m_c} too large for exhaustive distance "
+            f"(at most {DISTANCE_MAX_DIM} rows and columns)"
+        )
+
+
+def distance(cm: CodeMatrix) -> int:
     """Minimum distance: least Hamming weight over all nonzero GF(2)
     combinations of rows and of columns, by exhaustive enumeration."""
-    m_r, m_c = cm.shape
-    if m_r > max_dim or m_c > max_dim:
-        raise DistanceSizeError(
-            f"matrix {m_r}x{m_c} too large for exhaustive distance; pass the value manually"
-        )
+    check_size(cm)
     best = cm.n
     for masks in (cm.row_masks, cm.col_masks):
         acc = 0
@@ -229,6 +240,7 @@ def _quotient_basis(space: list[int], subspace: list[int]) -> list[int]:
 
 def build_code(cm: CodeMatrix, all_pairs: bool = False) -> SubsystemCode:
     """Construct gauge generators, stabilizers and canonical logical pairs."""
+    check_size(cm)
     n = cm.n
     m_r, m_c = cm.shape
     k = gf2_rank(cm.row_masks)

@@ -18,7 +18,7 @@ import scipy.sparse as sp
 
 from .codes import SubsystemCode
 from .pauli import PauliOp
-from .spectra import WeightSpec, build_full_hamiltonian
+from .spectra import WeightSpec, build_full_hamiltonian, z_signs
 
 
 class OpenSysError(Exception):
@@ -70,8 +70,7 @@ def pauli_matrix(op: PauliOp) -> np.ndarray:
     idx = np.arange(dim)
     rows = idx ^ op.x
     raw = (op.phase + (op.x & op.z).bit_count()) % 4
-    zpar = np.array([(i & op.z).bit_count() & 1 for i in idx])
-    vals = (1j) ** raw * (-1.0) ** zpar
+    vals = (1j) ** raw * z_signs(op.z, op.n)
     M = np.zeros((dim, dim), dtype=complex)
     M[rows, idx] = vals
     return M
@@ -410,13 +409,6 @@ def entanglement_of_formation(rho_L: np.ndarray) -> float:
     if x in (0.0, 1.0):
         return 0.0
     return float(-x * math.log2(x) - (1 - x) * math.log2(1 - x))
-
-
-def gibbs_state(H: np.ndarray, omega_T: float) -> np.ndarray:
-    E, V = np.linalg.eigh(H)
-    w = np.exp(-(E - E[0]) / omega_T)
-    w /= w.sum()
-    return (V * w) @ V.conj().T
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,44 @@
+"""Independent reference values that only the tests use: closed-form sector
+spectra of the two small benchmark codes, the dense full spectrum and the
+Gibbs state."""
+
+from __future__ import annotations
+
+import numpy as np
+
+from gaugeforge.spectra import FullHamiltonian
+
+
+def analytic_oracle_412(lam1, lam2, eta1, eta2, sector) -> np.ndarray:
+    """Sector eigenvalues of the 4-qubit code: +/- sqrt((l1+x l2)^2 + (e1+z e2)^2)."""
+    x, z = sector
+    r = np.hypot(lam1 + x * lam2, eta1 + z * eta2)
+    return np.array([-r, r])
+
+
+def analytic_oracle_622(lam, eta, sector) -> np.ndarray:
+    """Sector eigenvalues of the 6-qubit code with the single eta placement.
+
+    sector = (x, z) with values in {+1, -1}; s_+ = (x + z) / 2, so sectors
+    (+,-) and (-,+) share the s_+ = 0 spectrum.
+    """
+    x, z = sector
+    s_plus = (x + z) / 2
+    if s_plus == 0:
+        r = 2 * np.sqrt(2 * lam**2 + eta**2)
+        vals = [-r, 0.0, 0.0, r]
+    else:
+        r = np.sqrt(8 * lam**2 + eta**2)
+        vals = [-eta * s_plus - r, -eta * s_plus + r, 2 * eta * s_plus, 0.0]
+    return np.sort(np.array(vals, dtype=float))
+
+
+def full_spectrum(op: FullHamiltonian) -> np.ndarray:
+    return np.linalg.eigvalsh(op.dense())
+
+
+def gibbs_state(H: np.ndarray, omega_T: float) -> np.ndarray:
+    E, V = np.linalg.eigh(H)
+    w = np.exp(-(E - E[0]) / omega_T)
+    w /= w.sum()
+    return (V * w) @ V.conj().T

@@ -8,7 +8,6 @@ literature pair beside them as an unasserted reference (see DECISIONS.md).
 
 from __future__ import annotations
 
-import itertools
 import math
 import sys
 import time
@@ -27,21 +26,18 @@ from gaugeforge.opensys import (
     decode_logical,
     encode_state,
     evolve,
-    gibbs_state,
     simulate_code,
     simulate_two_blocks,
     trace_distance,
 )
 from gaugeforge.spectra import (
     WeightSpec,
-    analytic_oracle_622,
     build_full_hamiltonian,
-    build_sector_hamiltonian,
     energy_separation,
     full_ground_energy,
-    full_spectrum,
-    sector_spectrum,
+    sector_spectra,
 )
+from tests.oracles import analytic_oracle_622, full_spectrum, gibbs_state
 from tests.test_extraction import hand_listed_basis
 
 M412 = [[1, 1], [1, 1]]
@@ -97,9 +93,7 @@ def test_criterion_2_six_qubit_separations(capsys):
     worst = 0.0
     for _ in range(50):
         lam, eta = rng.uniform(0.1, 3.0, size=2)
-        for sector in itertools.product((1, -1), repeat=2):
-            got = sector_spectrum(
-                build_sector_hamiltonian(rb, code, weights_622(lam, eta), sector))
+        for sector, got in sector_spectra(code, rb, weights_622(lam, eta)):
             want = analytic_oracle_622(lam, eta, sector)
             worst = max(worst, float(np.abs(np.sort(got) - np.sort(want)).max()))
     sep_large = energy_separation(code, rb, weights_622(1e3, 1.0)).separation

@@ -174,6 +174,19 @@ def test_exit_code_2_for_input_errors(capsys, tmp_path):
     assert code == 2  # separate requires bell
 
 
+@pytest.mark.parametrize("command", [["code", "info"], ["code", "reduce"], ["spectrum"]])
+@pytest.mark.parametrize("text, message", [
+    pytest.param("1\n" * 21, "21x1 too large for exhaustive distance", id="21x1"),
+    pytest.param(("1" * 8 + "\n") * 8, "64 qubits", id="8x8"),  # one past PauliOp's 63
+])
+def test_exit_code_2_for_oversized_matrix(capsys, tmp_path, command, text, message):
+    m = tmp_path / "big.txt"
+    m.write_text(text)
+    code, out, err = run(capsys, *command, str(m))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1 and message in err
+
+
 def test_exit_code_1_for_verification_failure(capsys, monkeypatch, tmp_path):
     import gaugeforge.cli as cli_mod
     from gaugeforge.extraction import VerificationReport

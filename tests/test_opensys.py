@@ -22,7 +22,6 @@ from gaugeforge.opensys import (
     encode_state,
     entanglement_of_formation,
     evolve,
-    gibbs_state,
     leakage,
     pauli_matrix,
     purity,
@@ -33,6 +32,7 @@ from gaugeforge.opensys import (
 )
 from gaugeforge.pauli import PauliOp
 from gaugeforge.spectra import WeightSpec, build_full_hamiltonian
+from tests.oracles import gibbs_state
 
 M412 = [[1, 1], [1, 1]]
 M622 = [[1, 1, 0], [0, 1, 1], [1, 0, 1]]

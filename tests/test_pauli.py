@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from gaugeforge.opensys import pauli_matrix
 from gaugeforge.pauli import (
     DimensionMismatchError,
     NotInSpanError,
@@ -51,21 +52,37 @@ def test_single_qubit_letters_match_dense():
     assert np.array_equal(dense(PauliOp.identity(1)), I2)
 
 
-def test_multiplication_matches_dense_oracle():
-    rng = np.random.default_rng(7)
-    for _ in range(300):
-        n = int(rng.integers(1, 5))
-        a, b = random_op(rng, n), random_op(rng, n)
-        assert np.allclose(dense(a * b), dense(a) @ dense(b))
+@st.composite
+def pauli_ops(draw, count, max_n=4):
+    """``count`` phased Pauli operators on a common n <= max_n qubits."""
+    n = draw(st.integers(1, max_n))
+    masks = st.integers(0, (1 << n) - 1)
+    return [PauliOp(n, draw(masks), draw(masks), draw(st.integers(0, 3)))
+            for _ in range(count)]
 
 
-def test_commutes_matches_dense_oracle():
-    rng = np.random.default_rng(11)
-    for _ in range(200):
-        n = int(rng.integers(1, 5))
-        a, b = random_op(rng, n), random_op(rng, n)
-        comm = np.abs(dense(a) @ dense(b) - dense(b) @ dense(a)).max()
-        assert a.commutes(b) == (comm < 1e-12)
+@given(pauli_ops(2))
+def test_multiplication_matches_dense_oracle(ops):
+    # every entry is 0, +/-1 or +/-i, so the phase must match exactly
+    a, b = ops
+    assert np.array_equal(pauli_matrix(a * b), dense(a) @ dense(b))
+    assert np.array_equal(pauli_matrix(a) @ pauli_matrix(b), dense(a) @ dense(b))
+
+
+@given(pauli_ops(3, max_n=8))
+def test_multiplication_is_associative(ops):
+    a, b, c = ops
+    assert (a * b) * c == a * (b * c)
+
+
+@given(pauli_ops(2))
+def test_commutes_matches_dense_oracle(ops):
+    a, b = ops
+    # symplectic form, one qubit at a time: sum_j x_j(a) z_j(b) + z_j(a) x_j(b)
+    form = sum((a.x >> j & 1) * (b.z >> j & 1) + (a.z >> j & 1) * (b.x >> j & 1)
+               for j in range(a.n)) % 2
+    assert a.commutes(b) == (form == 0)
+    assert a.commutes(b) == np.array_equal(dense(a) @ dense(b), dense(b) @ dense(a))
 
 
 def test_hermitian_phase_convention():

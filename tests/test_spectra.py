@@ -8,21 +8,18 @@ import math
 import numpy as np
 import pytest
 
+from gaugeforge import spectra
 from gaugeforge.codes import CodeMatrix, build_code
 from gaugeforge.extraction import extract_reduced_basis
 from gaugeforge.spectra import (
-    SectorHamiltonian,
     SpectraError,
     WeightSpec,
-    analytic_oracle_412,
-    analytic_oracle_622,
     build_full_hamiltonian,
-    build_sector_hamiltonian,
     energy_separation,
     full_ground_energy,
-    full_spectrum,
-    sector_spectrum,
+    sector_spectra,
 )
+from tests.oracles import analytic_oracle_412, analytic_oracle_622, full_spectrum
 
 M412 = [[1, 1], [1, 1]]
 M622 = [[1, 1, 0], [0, 1, 1], [1, 0, 1]]
@@ -64,8 +61,7 @@ def test_four_qubit_sectors_match_analytic_oracle():
     for _ in range(50):
         l1, l2, e1, e2 = rng.uniform(0.1, 3.0, size=4)
         w = WeightSpec.explicit([l1, l2, e1, e2])
-        for sector in itertools.product((1, -1), repeat=2):
-            got = sector_spectrum(build_sector_hamiltonian(rb, code, w, sector))
+        for sector, got in sector_spectra(code, rb, w):
             want = analytic_oracle_412(l1, l2, e1, e2, sector)
             assert np.abs(np.sort(got) - np.sort(want)).max() < 1e-9
 
@@ -88,9 +84,7 @@ def test_six_qubit_sectors_match_analytic_oracle():
     rng = np.random.default_rng(37)
     for _ in range(50):
         lam, eta = rng.uniform(0.1, 3.0, size=2)
-        w = weights_622(lam, eta)
-        for sector in itertools.product((1, -1), repeat=2):
-            got = sector_spectrum(build_sector_hamiltonian(rb, code, w, sector))
+        for sector, got in sector_spectra(code, rb, weights_622(lam, eta)):
             want = analytic_oracle_622(lam, eta, sector)
             assert np.abs(np.sort(got) - np.sort(want)).max() < 1e-9
 
@@ -144,11 +138,9 @@ def test_spectrum_scales_linearly_with_weights():
 def test_zero_z_weights_make_z_sectors_degenerate():
     # with every ZZ weight zero the Hamiltonian ignores the Z stabilizer label
     code, rb = make(M412)
-    w = WeightSpec.explicit([1.0, 1.0, 0.0, 0.0])
+    spec = dict(sector_spectra(code, rb, WeightSpec.explicit([1.0, 1.0, 0.0, 0.0])))
     for xs in (1, -1):
-        a = sector_spectrum(build_sector_hamiltonian(rb, code, w, (xs, 1)))
-        b = sector_spectrum(build_sector_hamiltonian(rb, code, w, (xs, -1)))
-        assert np.abs(a - b).max() < 1e-12
+        assert np.abs(spec[xs, 1] - spec[xs, -1]).max() < 1e-12
 
 
 def test_all_pairs_convention_changes_energy_not_code():
@@ -163,26 +155,18 @@ def test_all_pairs_convention_changes_energy_not_code():
     assert rep_ap.e0_code < rep_nn.e0_code  # more terms, lower ground energy
 
 
-def test_bad_sector_rejected():
+def test_sector_spectrum_rejects_non_symmetric_matrix(monkeypatch):
     code, rb = make(M412)
-    w = WeightSpec.uniform(1.0, 4)
-    with pytest.raises(SpectraError):
-        build_sector_hamiltonian(rb, code, w, (1,))
-    with pytest.raises(SpectraError):
-        build_sector_hamiltonian(rb, code, w, (1, 0))
+    monkeypatch.setattr(spectra, "_sector_matrix",
+                        lambda terms, sector, a: np.array([[0.0, 1.0], [0.0, 0.0]]))
+    with pytest.raises(SpectraError, match="not symmetric"):
+        energy_separation(code, rb, WeightSpec.uniform(1.0, 4))
 
 
-def test_sector_spectrum_rejects_non_symmetric_matrix():
-    sh = SectorHamiltonian(sector=(1,), matrix=np.array([[0.0, 1.0], [0.0, 0.0]]))
-    with pytest.raises(SpectraError):
-        sector_spectrum(sh)
-
-
-def test_thread_cap_env(monkeypatch):
-    code, rb = make(M412)
-    w = WeightSpec.uniform(1.0, 4)
-    monkeypatch.setenv("GAUGEFORGE_THREADS", "1")
-    r1 = energy_separation(code, rb, w)
-    monkeypatch.delenv("GAUGEFORGE_THREADS")
-    r2 = energy_separation(code, rb, w)
-    assert r1.ground_energies == r2.ground_energies
+def test_sector_spectra_order_and_code_sector_first():
+    code, rb = make(M622)
+    sectors = [s for s, _ in sector_spectra(code, rb, WeightSpec.uniform(1.0, 6))]
+    assert sectors == list(itertools.product((1, -1), repeat=2))
+    rep = energy_separation(code, rb, WeightSpec.uniform(1.0, 6))
+    assert rep.code_sector == (1, 1)
+    assert list(rep.ground_energies) == sectors
