@@ -97,18 +97,10 @@ class DaviesGenerator:
     basis: np.ndarray                 # orthonormal eigenvectors, columns
     jumps: list[tuple[float, float, sp.csr_matrix]]  # (omega, rate, A(omega))
     couplings: list[np.ndarray]       # lab-frame coupling operators
-    bath: BathSpec
 
     @property
     def dim(self) -> int:
         return self.energies.size
-
-    def total_rate_operator(self) -> np.ndarray:
-        K = np.zeros((self.dim, self.dim), dtype=complex)
-        for _, rate, A in self.jumps:
-            Ad = A.toarray()
-            K += rate * (Ad.conj().T @ Ad)
-        return K
 
     def to_eigenbasis(self, rho: np.ndarray) -> np.ndarray:
         return self.basis.conj().T @ rho @ self.basis
@@ -148,7 +140,7 @@ def davies_generator_from_h(H: np.ndarray, b: BathSpec,
             v = np.concatenate([p[2] for p in parts])
             Aop = sp.csr_matrix((v, (r, c)), shape=(dim, dim))
             jumps.append((omega, bath_correlation(omega, b), Aop))
-    return DaviesGenerator(energies=E, basis=V, jumps=jumps, couplings=couplings, bath=b)
+    return DaviesGenerator(energies=E, basis=V, jumps=jumps, couplings=couplings)
 
 
 def single_qubit_couplings(n: int) -> list[np.ndarray]:
@@ -160,22 +152,22 @@ def single_qubit_couplings(n: int) -> list[np.ndarray]:
     return ops
 
 
-def _check_block_size(code: SubsystemCode):
-    """The Davies generator is dense in 2^n: refuse a block before any dense work."""
+def _check_dense_size(code: SubsystemCode, what: str = "code"):
+    """Encoding and the Davies generator are dense in 2^n: refuse before any dense work."""
     if code.n > 10:
         raise OpenSysError(
-            f"open-system simulation limited to n <= 10 qubits per block, got n={code.n}"
+            f"open-system simulation limited to n <= 10 qubits, got n={code.n} for the {what}"
         )
 
 
 def davies_generator(code: SubsystemCode, w: WeightSpec, b: BathSpec) -> DaviesGenerator:
-    _check_block_size(code)
+    _check_dense_size(code)
     H = build_full_hamiltonian(code, w).dense()
     return davies_generator_from_h(H, b, single_qubit_couplings(code.n))
 
 
 def lindblad_superoperator(g: DaviesGenerator) -> sp.csr_matrix:
-    """Sparse action on vec(rho) (column stacking) in the eigenbasis."""
+    """Sparse action on vec(rho) (row stacking) in the eigenbasis."""
     d = g.dim
     I = sp.identity(d, format="csr", dtype=complex)
     L = sp.csr_matrix((d * d, d * d), dtype=complex)
@@ -199,31 +191,71 @@ class Trajectory:
         return np.array([m[name] for m in self.metrics])
 
 
-def _max_total_rate(g: DaviesGenerator) -> float:
-    K = g.total_rate_operator()
-    return float(np.linalg.eigvalsh(K)[-1].real) if g.jumps else 0.0
+RATE_STEP_BOUND = 1e-3  # RK4 step times the largest total jump rate
+
+
+def _step_bound(g: DaviesGenerator) -> float:
+    """RATE_STEP_BOUND over the top eigenvalue of K = sum rate A^dag A."""
+    K = np.zeros((g.dim, g.dim), dtype=complex)
+    for _, rate, A in g.jumps:
+        Ad = A.toarray()
+        K += rate * (Ad.conj().T @ Ad)
+    rate = float(np.linalg.eigvalsh(K)[-1].real)
+    return RATE_STEP_BOUND / rate if rate > 0 else np.inf
+
+
+def _rk4_span(L, y, span: float, h_max: float):
+    """Fixed-step RK4 for dy/dt = L y over ``span``, in the fewest equal steps
+    no longer than ``h_max``; ``y`` is a vector or a matrix of column vectors."""
+    if span <= 0:
+        return y
+    steps = max(1, int(math.ceil(span / h_max))) if np.isfinite(h_max) else 1
+    h = span / steps
+    for _ in range(steps):
+        k1 = L @ y
+        k2 = L @ (y + 0.5 * h * k1)
+        k3 = L @ (y + 0.5 * h * k2)
+        k4 = L @ (y + h * k3)
+        y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+    return y
 
 
 def _check_state(rho: np.ndarray, t: float):
     tr = float(rho.trace().real)
     if abs(tr - 1) > 1e-6:
-        raise IntegrationError(f"trace drifted to {tr} at t={t}; reduce the step size")
+        raise IntegrationError(f"trace drifted to {tr} at t={t}")
     herm = np.abs(rho - rho.conj().T).max()
     if herm > 1e-8:
         raise IntegrationError(f"hermiticity loss {herm} at t={t}")
     lo = float(np.linalg.eigvalsh((rho + rho.conj().T) / 2)[0])
     if lo < -1e-6:
-        raise IntegrationError(f"negativity {lo} at t={t}; reduce the step size")
+        raise IntegrationError(f"negativity {lo} at t={t}")
 
 
-def evolve(rho0: np.ndarray, g: DaviesGenerator, t_grid, metrics_fn=None,
-           rate_step_bound: float = 1e-3) -> Trajectory:
+def _time_grid(t_grid) -> np.ndarray:
+    t_grid = np.asarray(t_grid, dtype=float)
+    if t_grid.ndim != 1 or t_grid.size == 0 or t_grid[0] != 0 or np.any(np.diff(t_grid) < 0):
+        raise OpenSysError("time grid must be a nondecreasing sequence starting at 0")
+    return t_grid
+
+
+def _sample(t_grid: np.ndarray, states, metrics_fn) -> Trajectory:
+    """Check and measure the lab-frame ``states``, one per time in ``t_grid``."""
+    metrics = []
+    for t, rho in zip(t_grid, states):
+        _check_state(rho, float(t))
+        m = {"t": float(t)}
+        if metrics_fn is not None:
+            m.update(metrics_fn(rho, float(t)))
+        metrics.append(m)
+    return Trajectory(times=t_grid, metrics=metrics, final_state=rho)
+
+
+def evolve(rho0: np.ndarray, g: DaviesGenerator, t_grid, metrics_fn=None) -> Trajectory:
     """Fixed-step RK4 integration of the Lindblad equation in the interaction
     picture of the system Hamiltonian (no coherent term).  States are checked
     for trace, hermiticity and positivity at every sampled time."""
-    t_grid = np.asarray(t_grid, dtype=float)
-    if t_grid[0] != 0:
-        raise OpenSysError("time grid must start at 0")
+    t_grid = _time_grid(t_grid)
     scale = max(1.0, float(np.abs(rho0).max()))
     if abs(rho0.trace().real - 1) > 1e-9 or np.abs(rho0 - rho0.conj().T).max() > 1e-10 * scale:
         raise OpenSysError("initial state must be Hermitian with unit trace")
@@ -231,38 +263,16 @@ def evolve(rho0: np.ndarray, g: DaviesGenerator, t_grid, metrics_fn=None,
         raise OpenSysError("initial state must be positive semidefinite")
 
     L = lindblad_superoperator(g)
-    rate = _max_total_rate(g)
-    h_max = rate_step_bound / rate if rate > 0 else np.inf
+    h_max = _step_bound(g)
 
-    rho_e = g.to_eigenbasis(rho0)
-    y = rho_e.reshape(-1)  # row stacking, matching lindblad_superoperator
+    def states():
+        yield rho0
+        y = g.to_eigenbasis(rho0).reshape(-1)  # row stacking, matching lindblad_superoperator
+        for span in np.diff(t_grid):
+            y = _rk4_span(L, y, span, h_max)
+            yield g.from_eigenbasis(y.reshape(g.dim, g.dim))
 
-    def rk4_span(y, t0, t1):
-        span = t1 - t0
-        if span <= 0:
-            return y
-        steps = max(1, int(math.ceil(span / h_max))) if np.isfinite(h_max) else 1
-        h = span / steps
-        for _ in range(steps):
-            k1 = L @ y
-            k2 = L @ (y + 0.5 * h * k1)
-            k3 = L @ (y + 0.5 * h * k2)
-            k4 = L @ (y + h * k3)
-            y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        return y
-
-    metrics = []
-    rho_lab = rho0
-    for i, t in enumerate(t_grid):
-        if i > 0:
-            y = rk4_span(y, t_grid[i - 1], t)
-            rho_lab = g.from_eigenbasis(y.reshape(g.dim, g.dim))
-        _check_state(rho_lab, float(t))
-        m = {"t": float(t)}
-        if metrics_fn is not None:
-            m.update(metrics_fn(rho_lab, float(t)))
-        metrics.append(m)
-    return Trajectory(times=t_grid, metrics=metrics, final_state=rho_lab)
+    return _sample(t_grid, states(), metrics_fn)
 
 
 # ---------------------------------------------------------------------------
@@ -422,24 +432,25 @@ for _a in (0, 3):
         BELL[_a, _b] = 0.5
 
 
-def _logical_metrics(code, rho0_L, want_eof):
-    def fn(rho, t):
+def _metrics_fn(code, rho0_L, rho0, metrics):
+    """Per-sample metrics of the decoded logical state (with the EoF for two
+    logical qubits), or of the physical state against ``rho0`` ("physical")."""
+    if metrics != "logical":
+        def physical(rho, t):
+            return {"trace_distance": trace_distance(rho, rho0), "purity": purity(rho)}
+        return physical
+
+    def logical(rho, t):
         rl = decode_logical(rho, code)
         m = {
             "trace_distance": trace_distance(rl, rho0_L),
             "purity": purity(_psd_normalize(rl)),
             "leakage": leakage(rho, code),
         }
-        if want_eof:
+        if code.k == 2:
             m["eof"] = entanglement_of_formation(rl)
         return m
-    return fn
-
-
-def _physical_metrics(rho0):
-    def fn(rho, t):
-        return {"trace_distance": trace_distance(rho, rho0), "purity": purity(rho)}
-    return fn
+    return logical
 
 
 def _psd_normalize(rho):
@@ -450,42 +461,20 @@ def _psd_normalize(rho):
     return (vecs * (vals / vals.sum())) @ vecs.conj().T
 
 
+def _suppressing_weights(code: SubsystemCode, gamma: float, bath: BathSpec) -> WeightSpec:
+    """H = -lambda * sum(G) with lambda = gamma * omega_T."""
+    return WeightSpec.uniform(gamma * bath.omega_T, len(code.gauge_generators))
+
+
 def simulate_code(code: SubsystemCode, rho_L: np.ndarray, gamma: float,
                   bath: BathSpec, t_grid, metrics: str = "logical") -> Trajectory:
     """Single-block simulation: encode, build the Davies generator for
     H = -lambda * sum(G) with lambda = gamma * omega_T, evolve, measure."""
-    _check_block_size(code)
-    lam = gamma * bath.omega_T
-    w = WeightSpec.uniform(lam, len(code.gauge_generators))
+    _check_dense_size(code)
+    w = _suppressing_weights(code, gamma, bath)
     rho0 = encode_state(rho_L, code, w)
     g = davies_generator(code, w, bath)
-    want_eof = code.k == 2
-    fn = (_logical_metrics(code, rho_L, want_eof) if metrics == "logical"
-          else _physical_metrics(rho0))
-    return evolve(rho0, g, t_grid, metrics_fn=fn)
-
-
-def _block_propagators(g: DaviesGenerator, t_grid, rate_step_bound=1e-3):
-    """Channel propagators exp(t L) at the sample times, as dense matrices on
-    vec(rho) in the block eigenbasis."""
-    d = g.dim
-    L = lindblad_superoperator(g).toarray()
-    rate = _max_total_rate(g)
-    h_max = rate_step_bound / rate if rate > 0 else np.inf
-    P = np.eye(d * d, dtype=complex)
-    out = [P.copy()]
-    for i in range(1, len(t_grid)):
-        span = t_grid[i] - t_grid[i - 1]
-        steps = max(1, int(math.ceil(span / h_max))) if np.isfinite(h_max) else 1
-        h = span / steps
-        for _ in range(steps):
-            k1 = L @ P
-            k2 = L @ (P + 0.5 * h * k1)
-            k3 = L @ (P + 0.5 * h * k2)
-            k4 = L @ (P + h * k3)
-            P = P + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        out.append(P.copy())
-    return out
+    return evolve(rho0, g, t_grid, metrics_fn=_metrics_fn(code, rho_L, rho0, metrics))
 
 
 def simulate_two_blocks(block_code: SubsystemCode, composite_code: SubsystemCode,
@@ -499,37 +488,27 @@ def simulate_two_blocks(block_code: SubsystemCode, composite_code: SubsystemCode
     """
     if composite_code.n != 2 * block_code.n or composite_code.k != 2 * block_code.k:
         raise OpenSysError("composite code is not two copies of the block code")
-    _check_block_size(block_code)
-    lam = gamma * bath.omega_T
-    w_block = WeightSpec.uniform(lam, len(block_code.gauge_generators))
-    w_full = WeightSpec.uniform(lam, len(composite_code.gauge_generators))
-    rho0 = encode_state(rho_L, composite_code, w_full)
-    g = davies_generator(block_code, w_block, bath)
+    _check_dense_size(composite_code, "two-block composite")
+    t_grid = _time_grid(t_grid)
+    rho0 = encode_state(rho_L, composite_code,
+                        _suppressing_weights(composite_code, gamma, bath))
+    g = davies_generator(block_code, _suppressing_weights(block_code, gamma, bath), bath)
     d = g.dim
-    V = g.basis
+    U = np.kron(g.basis, g.basis)  # two-block eigenbasis, block 1 on the slow index
+    L = lindblad_superoperator(g)
+    h_max = _step_bound(g)
 
-    props = _block_propagators(g, np.asarray(t_grid, dtype=float))
-    U = np.kron(V, V)
-    rho0_e = U.conj().T @ rho0 @ U  # two-block eigenbasis (block 1 = slow legs)
+    def regroup(rho):
+        # rho[a*d+b, c*d+e] <-> M[a*d+c, b*d+e]: block 1 lives on legs (a, c)
+        # and block 2 on legs (b, e), so Phi (x) Phi acts as M -> P M P^T
+        return rho.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
 
-    want_eof = composite_code.k == 2
-    fn = (_logical_metrics(composite_code, rho_L, want_eof) if metrics == "logical"
-          else _physical_metrics(rho0))
+    def states():
+        yield rho0
+        M0 = regroup(U.conj().T @ rho0 @ U)
+        P = np.eye(d * d, dtype=complex)
+        for span in np.diff(t_grid):
+            P = _rk4_span(L, P, span, h_max)
+            yield U @ regroup(P @ M0 @ P.T) @ U.conj().T
 
-    # legs: rho[a, b, c, e] with row = a*d+b and col = c*d+e, so one block
-    # lives on legs (a, c) and the other on legs (b, e)
-    T0 = rho0_e.reshape(d, d, d, d)
-    metrics_list = []
-    rho_lab = rho0
-    for i, t in enumerate(np.asarray(t_grid, dtype=float)):
-        P = props[i].reshape(d, d, d, d)  # P[r', c', r, c] on row-stacked vec
-        T = np.einsum("xyac,abce->xbye", P, T0)
-        T = np.einsum("uvbe,xbye->xuyv", P, T)
-        rho_e = T.reshape(d * d, d * d)
-        rho_lab = U @ rho_e @ U.conj().T
-        _check_state(rho_lab, float(t))
-        m = {"t": float(t)}
-        m.update(fn(rho_lab, float(t)))
-        metrics_list.append(m)
-    return Trajectory(times=np.asarray(t_grid, dtype=float), metrics=metrics_list,
-                      final_state=rho_lab)
+    return _sample(t_grid, states(), _metrics_fn(composite_code, rho_L, rho0, metrics))

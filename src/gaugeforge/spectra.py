@@ -94,7 +94,12 @@ class SeparationReport:
 
 def z_signs(z: int, n: int) -> np.ndarray:
     """(-1)^{|i & z|} for every basis index i of n qubits: the diagonal of Z^z."""
-    return (-1.0) ** np.array([(i & z).bit_count() for i in range(1 << n)])
+    idx = np.arange(1 << n)
+    parity = np.zeros_like(idx)
+    for q in range(n):
+        if z >> q & 1:
+            parity ^= idx >> q
+    return 1.0 - 2.0 * (parity & 1)
 
 
 def _dense(terms, dim: int) -> np.ndarray:

@@ -1,10 +1,11 @@
 """Independent reference values that only the tests use: closed-form sector
-spectra of the two small benchmark codes, the dense full spectrum and the
-Gibbs state."""
+spectra of the two small benchmark codes, the dense full spectrum, the Gibbs
+state and exact Lindblad propagators."""
 
 from __future__ import annotations
 
 import numpy as np
+import scipy.linalg
 
 from gaugeforge.spectra import FullHamiltonian
 
@@ -42,3 +43,20 @@ def gibbs_state(H: np.ndarray, omega_T: float) -> np.ndarray:
     w = np.exp(-(E - E[0]) / omega_T)
     w /= w.sum()
     return (V * w) @ V.conj().T
+
+
+def lindblad_propagators(jumps, dim: int, t_grid) -> list[np.ndarray]:
+    """exp(t L) at every t in ``t_grid``, for the Lindbladian of the
+    (omega, rate, A) ``jumps`` on row-stacked vec(rho).  L is built densely,
+    one column per matrix unit: L vec(E_ij) = vec(D(E_ij)) with
+    D(E) = sum rate (A E A^dag - 1/2 {A^dag A, E})."""
+    ops = [(rate, A, A.conj().T, A.conj().T @ A)
+           for rate, A in ((rate, A.toarray()) for _, rate, A in jumps)]
+    L = np.zeros((dim * dim, dim * dim), dtype=complex)
+    for i in range(dim):
+        for j in range(dim):
+            E = np.zeros((dim, dim), dtype=complex)
+            E[i, j] = 1
+            D = sum(rate * (A @ E @ Ad - 0.5 * (AdA @ E + E @ AdA)) for rate, A, Ad, AdA in ops)
+            L[:, i * dim + j] = D.reshape(-1)
+    return [scipy.linalg.expm(t * L) for t in t_grid]

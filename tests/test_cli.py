@@ -243,17 +243,22 @@ def test_exit_code_2_for_logical_qubit_mismatch(capsys, monkeypatch, matrices):
         assert code == 2 and "logical qubit" in err
 
 
-def test_simulate_refuses_oversized_block_before_dense_work(capsys, matrices):
-    start = time.perf_counter()
-    code, _, err = run(capsys, "simulate", matrices["m55"], "--initial", "bell")
-    assert time.perf_counter() - start < 2.0
-    assert code == 1
-    assert err.startswith("error:") and err.count("\n") == 1
+def test_simulate_refuses_oversized_block_before_dense_work(capsys, matrices, tmp_path):
+    m23 = tmp_path / "m23.txt"
+    m23.write_text("1 1 1\n1 1 1\n")  # n = 6, k = 1: a 12-qubit two-block composite
+    for argv in ([matrices["m55"], "--initial", "bell"],
+                 [str(m23), "--initial", "bell", "--blocks", "separate"]):
+        start = time.perf_counter()
+        code, _, err = run(capsys, "simulate", *argv)
+        assert time.perf_counter() - start < 2.0
+        assert code == 1
+        assert err.startswith("error:") and err.count("\n") == 1
 
 
 # SHA-256 of each report with its ``config`` key (which holds the input path)
-# removed.  The 16-qubit sector eigenvalues differ in their last bits between
-# BLAS thread counts, so the reports are made in a child process with one.
+# removed, and of the ``simulate`` CSV after its ``# config`` line.  The
+# 16-qubit sector eigenvalues differ in their last bits between BLAS thread
+# counts, so the reports are made in a child process with one.
 GOLDEN_REPORTS = {
     ("code", "info", "m412"): "221466d32ad00f2404057438501ecfd02d323776cc1a494ec12829b4a6b68f42",
     ("code", "reduce", "m412"): "4cbdfe4722cd3252619226996fc5e1acf1d25df537b6cf6d205af49fd625fefa",
@@ -264,6 +269,8 @@ GOLDEN_REPORTS = {
     ("code", "info", "m55"): "0c7b4cb1b705f82d608ab5113713b97646a3ea4bf2878bf40fb4d29f2d5d2a03",
     ("code", "reduce", "m55"): "8c26464fb89e5a52c2ef7b6ef9b8e29920fb387ab029a737b27087f8e6716f24",
     ("spectrum", "m55"): "74b6dd61bde705c57db84fa2b1685381f011df69e4a99cbc4e35111f11227b6c",
+    ("simulate", "m412", "--initial", "plusL", "--gamma", "0.8,1.2", "--t-max", "2e-8",
+     "--samples", "6"): "48f1607ccf5df779bf6f6825088b8393d20280607a1d6ba776977bd068b9aa89",
 }
 
 REPORT_DIGESTS = """
@@ -273,15 +280,19 @@ for argv in json.loads(sys.argv[1]):
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
         rc = main(argv)
-    rep = json.loads(buf.getvalue())
-    del rep["config"]
-    text = json.dumps(rep, indent=2, sort_keys=True) + "\\n"
+    text = buf.getvalue()
+    if text.startswith("# config "):
+        text = text.split("\\n", 1)[1]
+    else:
+        rep = json.loads(text)
+        del rep["config"]
+        text = json.dumps(rep, indent=2, sort_keys=True) + "\\n"
     print(rc, hashlib.sha256(text.encode()).hexdigest())
 """
 
 
 def test_reports_match_golden_digests(matrices):
-    argvs = [[*key[:-1], matrices[key[-1]]] for key in GOLDEN_REPORTS]
+    argvs = [[matrices.get(arg, arg) for arg in key] for key in GOLDEN_REPORTS]
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     src = str(Path(gaugeforge.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))

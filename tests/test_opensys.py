@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from gaugeforge import opensys
 from gaugeforge.codes import CodeMatrix, build_code, combined_matrix
 from gaugeforge.opensys import (
     BELL,
@@ -32,7 +33,7 @@ from gaugeforge.opensys import (
 )
 from gaugeforge.pauli import PauliOp
 from gaugeforge.spectra import WeightSpec, build_full_hamiltonian
-from tests.oracles import gibbs_state
+from tests.oracles import gibbs_state, lindblad_propagators
 
 M412 = [[1, 1], [1, 1]]
 M622 = [[1, 1, 0], [0, 1, 1], [1, 0, 1]]
@@ -176,6 +177,34 @@ def test_trace_and_positivity_along_trajectory():
     assert np.linalg.eigvalsh((rho + rho.conj().T) / 2)[0] > -1e-9
 
 
+@pytest.fixture
+def sampled_states(monkeypatch):
+    """Every state the drivers check, in sampling order."""
+    states = []
+    check = opensys._check_state
+
+    def spy(rho, t):
+        states.append(rho.copy())
+        check(rho, t)
+
+    monkeypatch.setattr(opensys, "_check_state", spy)
+    return states
+
+
+def test_simulate_code_matches_expm_oracle(sampled_states):
+    b = BathSpec()
+    code, w = code_and_weights(M412, lam=1.2 * b.omega_T)
+    t = np.linspace(0, 2e-8, 6)
+    simulate_code(code, PLUS, 1.2, b, t)
+    g = davies_generator(code, w, b)
+    V = g.basis
+    y0 = (V.conj().T @ encode_state(PLUS, code, w) @ V).reshape(-1)
+    assert len(sampled_states) == len(t)
+    for rho, P in zip(sampled_states, lindblad_propagators(g.jumps, g.dim, t)):
+        expected = V @ (P @ y0).reshape(g.dim, g.dim) @ V.conj().T
+        assert np.abs(rho - expected).max() < 1e-12
+
+
 # ---------------------------------------------------------------------------
 # Encoding and decoding
 # ---------------------------------------------------------------------------
@@ -293,12 +322,42 @@ def test_two_block_product_state_matches_single_block():
     assert np.abs(marginal - rl1).max() < 1e-7
 
 
+def test_two_block_matches_expm_oracle(sampled_states):
+    cm = CodeMatrix.from_matrix(M412)
+    block = build_code(cm)
+    comp = build_code(combined_matrix([cm, cm]))
+    b = BathSpec()
+    lam = 1.2 * b.omega_T
+    t = np.linspace(0, 5e-10, 3)
+    simulate_two_blocks(block, comp, BELL, 1.2, b, t)
+    g = davies_generator(block, WeightSpec.uniform(lam, len(block.gauge_generators)), b)
+    d = g.dim
+    U = np.kron(g.basis, g.basis)
+    rho0 = encode_state(BELL, comp, WeightSpec.uniform(lam, len(comp.gauge_generators)))
+    # legs: rho[a, b, c, e] with row = a*d+b and col = c*d+e, so one block
+    # lives on legs (a, c) and the other on legs (b, e)
+    T0 = (U.conj().T @ rho0 @ U).reshape(d, d, d, d)
+    assert len(sampled_states) == len(t)
+    for rho, P in zip(sampled_states, lindblad_propagators(g.jumps, d, t)):
+        P = P.reshape(d, d, d, d)  # P[r', c', r, c] on row-stacked vec
+        T = np.einsum("xyac,abce->xbye", P, T0)
+        T = np.einsum("uvbe,xbye->xuyv", P, T)
+        expected = U @ T.reshape(d * d, d * d) @ U.conj().T
+        assert np.abs(rho - expected).max() < 1e-12
+
+
 def test_two_block_shape_guard():
     cm = CodeMatrix.from_matrix(M412)
     block = build_code(cm)
     with pytest.raises(OpenSysError):
         simulate_two_blocks(block, block, np.kron(PLUS, PLUS), 1.0, BathSpec(),
                             np.linspace(0, 1e-9, 2))
+    comp = build_code(combined_matrix([cm, cm]))
+    for grid in ([], [1e-9, 2e-9], [0, 2e-9, 1e-9]):
+        with pytest.raises(OpenSysError, match="time grid"):
+            simulate_two_blocks(block, comp, BELL, 1.0, BathSpec(), grid)
+        with pytest.raises(OpenSysError, match="time grid"):
+            simulate_code(block, PLUS, 1.0, BathSpec(), grid)
 
 
 def test_bare_hamiltonian_generator_has_single_frequency():

@@ -7,6 +7,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from gaugeforge import spectra
 from gaugeforge.codes import CodeMatrix, build_code
@@ -18,6 +20,7 @@ from gaugeforge.spectra import (
     energy_separation,
     full_ground_energy,
     sector_spectra,
+    z_signs,
 )
 from tests.oracles import analytic_oracle_412, analytic_oracle_622, full_spectrum
 
@@ -28,6 +31,15 @@ M622 = [[1, 1, 0], [0, 1, 1], [1, 0, 1]]
 def make(M, all_pairs=False):
     cm = CodeMatrix.from_matrix(M)
     return build_code(cm, all_pairs=all_pairs), extract_reduced_basis(cm)
+
+
+@given(st.integers(0, 8).flatmap(
+    lambda n: st.tuples(st.just(n), st.integers(0, (1 << n) - 1))))
+def test_z_signs_matches_popcount(nz):
+    n, z = nz
+    expected = np.array([(-1.0) ** bin(i & z).count("1") for i in range(1 << n)])
+    got = z_signs(z, n)
+    assert got.dtype == expected.dtype and np.array_equal(got, expected)
 
 
 def test_weight_spec_validation():
