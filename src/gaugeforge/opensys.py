@@ -10,6 +10,7 @@ rad/s, time in seconds.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -76,18 +77,6 @@ def pauli_matrix(op: PauliOp) -> np.ndarray:
     return M
 
 
-def _group(values: np.ndarray, tol: float) -> list[np.ndarray]:
-    """Indices of ``values`` grouped by closeness within ``tol`` (values sorted)."""
-    order = np.argsort(values)
-    groups = [[order[0]]]
-    for i in order[1:]:
-        if values[i] - values[groups[-1][0]] <= tol:
-            groups[-1].append(i)
-        else:
-            groups.append([i])
-    return [np.array(g) for g in groups]
-
-
 @dataclass
 class DaviesGenerator:
     """Jump operators of the secular weak-coupling generator, in the
@@ -95,6 +84,7 @@ class DaviesGenerator:
 
     energies: np.ndarray              # ascending eigenvalues of H
     basis: np.ndarray                 # orthonormal eigenvectors, columns
+    levels: np.ndarray                # energy level of each eigenvector, 0 = ground
     jumps: list[tuple[float, float, sp.csr_matrix]]  # (omega, rate, A(omega))
     couplings: list[np.ndarray]       # lab-frame coupling operators
 
@@ -119,37 +109,34 @@ def davies_generator_from_h(H: np.ndarray, b: BathSpec,
         raise OpenSysError("Hamiltonian not Hermitian")
     E, V = np.linalg.eigh(H)
     tol = 1e-9 * scale
-    groups = _group(E, tol)
+    levels, low = np.zeros(dim, dtype=np.int64), E[0]
+    for i in range(1, dim):  # a level holds the eigenvalues within tol of its lowest one
+        if E[i] - low > tol:
+            low, levels[i:] = E[i], levels[i - 1] + 1
+    groups = [np.flatnonzero(levels == lv) for lv in range(levels[-1] + 1)]
     jumps = []
     for A in couplings:
         At = V.conj().T @ A @ V
         by_omega: dict[float, list] = {}
-        for ga in groups:
-            for gb in groups:
-                block = At[np.ix_(ga, gb)]
-                if np.abs(block).max() <= 1e-14:
-                    continue
-                omega = float(E[gb[0]] - E[ga[0]])
-                # snap Bohr frequencies onto a common grid within tol
-                key = next((k for k in by_omega if abs(k - omega) <= tol), omega)
-                rows, cols = np.nonzero(np.abs(block) > 1e-14)
-                by_omega.setdefault(key, []).append((ga[rows], gb[cols], block[rows, cols]))
+        for ga, gb in itertools.product(groups, groups):
+            block = At[np.ix_(ga, gb)]
+            if np.abs(block).max() <= 1e-14:
+                continue
+            omega = float(E[gb[0]] - E[ga[0]])
+            # snap Bohr frequencies onto a common grid within tol
+            key = next((k for k in by_omega if abs(k - omega) <= tol), omega)
+            rows, cols = np.nonzero(np.abs(block) > 1e-14)
+            by_omega.setdefault(key, []).append((ga[rows], gb[cols], block[rows, cols]))
         for omega, parts in by_omega.items():
-            r = np.concatenate([p[0] for p in parts])
-            c = np.concatenate([p[1] for p in parts])
-            v = np.concatenate([p[2] for p in parts])
+            r, c, v = (np.concatenate(column) for column in zip(*parts))
             Aop = sp.csr_matrix((v, (r, c)), shape=(dim, dim))
             jumps.append((omega, bath_correlation(omega, b), Aop))
-    return DaviesGenerator(energies=E, basis=V, jumps=jumps, couplings=couplings)
+    return DaviesGenerator(energies=E, basis=V, levels=levels, jumps=jumps, couplings=couplings)
 
 
 def single_qubit_couplings(n: int) -> list[np.ndarray]:
     """X_k, Y_k, Z_k for every qubit, identical coupling strength."""
-    ops = []
-    for k in range(n):
-        for letter in ("X", "Y", "Z"):
-            ops.append(pauli_matrix(PauliOp.single(n, letter, k)))
-    return ops
+    return [pauli_matrix(PauliOp.single(n, letter, k)) for k in range(n) for letter in "XYZ"]
 
 
 def _check_dense_size(code: SubsystemCode, what: str = "code"):
@@ -166,19 +153,84 @@ def davies_generator(code: SubsystemCode, w: WeightSpec, b: BathSpec) -> DaviesG
     return davies_generator_from_h(H, b, single_qubit_couplings(code.n))
 
 
+def _components(n: int, links) -> list[int]:
+    """Connected-component label of each of ``n`` nodes joined by ``links``."""
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
+
+    for u, v in links:
+        parent[find(u)] = find(v)
+    return [find(x) for x in range(n)]
+
+
 def lindblad_superoperator(g: DaviesGenerator) -> sp.csr_matrix:
-    """Sparse action on vec(rho) (row stacking) in the eigenbasis."""
-    d = g.dim
-    I = sp.identity(d, format="csr", dtype=complex)
-    L = sp.csr_matrix((d * d, d * d), dtype=complex)
-    for _, rate, A in g.jumps:
-        if rate == 0.0:
-            continue
-        AdA = (A.conj().T @ A).tocsr()
-        L = L + rate * (sp.kron(A, A.conj(), format="csr")
-                        - 0.5 * sp.kron(AdA, I, format="csr")
-                        - 0.5 * sp.kron(I, AdA.T, format="csr"))
-    return L.tocsr()
+    """Sparse action on vec(rho) (row stacking) in the eigenbasis of
+    sum rate (A (x) conj(A) - 1/2 A^dag A (x) I - 1/2 I (x) (A^dag A)^T), summed
+    jump by jump into one dense accumulator per Bohr block (class of level pairs
+    the jumps join).  Each entry gets the float operations of the sparse kron
+    sum of the formula in their order, so L is bit-identical to that sum."""
+    d, lv, nl = g.dim, g.levels, int(g.levels[-1]) + 1
+    terms = [(rate, A.tocoo(), (A.conj().T @ A).tocoo()) for _, rate, A in g.jumps if rate != 0.0]
+    if not terms:
+        return sp.csr_matrix((d * d, d * d), dtype=complex)
+
+    def moves(M):
+        return set(zip(lv[M.row].tolist(), lv[M.col].tolist()))
+
+    # a move a -> b of A^dag A joins (a, x) ~ (b, x) and (x, a) ~ (x, b) for every x,
+    # and two moves a -> b, a' -> b' of one A join (a, a') ~ (b, b')
+    rep = _components(nl, itertools.chain.from_iterable(moves(AdA) for _, _, AdA in terms))
+    label = _components(nl * nl, ((rep[a] * nl + rep[a2], rep[b] * nl + rep[b2])
+                                  for _, A, _ in terms for m in [moves(A)]
+                                  for (a, b), (a2, b2) in itertools.product(m, m)))
+    r = np.array(rep)[lv]
+    blk = np.array(label, dtype=np.int32)[np.add.outer(r * nl, r).ravel()]  # block of row i * d + k
+    members = np.argsort(blk, kind="stable").astype(np.int32)  # each block's rows, ascending
+    size = np.bincount(blk)
+    first = np.cumsum(size) - size  # where each block starts in members
+    loc = np.argsort(members) - first[blk]  # place of a row (= column) within its block
+    rowstart = np.concatenate(([0], np.cumsum(size[blk])))  # row R, column C: rowstart[R] + loc[C]
+    acc = np.zeros(rowstart[-1], dtype=complex)
+    buf = np.zeros_like(acc)  # the current jump's term, zero between jumps
+
+    def slots(R, C):
+        if np.any(blk[R] != blk[C]):
+            raise OpenSysError("Liouvillian entry couples two Bohr blocks")
+        return rowstart[R] + loc[C]
+
+    ar = np.arange(d)
+    for rate, A, AdA in terms:
+        touched, conj, step = [], A.data.conj(), max(1, (1 << 16) // A.nnz)
+        for p in range(0, A.nnz, step):  # step rows of A (x) conj(A) at a time
+            q = slice(p, p + step)
+            pos = slots(np.add.outer(A.row[q] * d, A.row).ravel(),
+                        np.add.outer(A.col[q] * d, A.col).ravel())
+            if np.any(A.row == A.col):  # else no slot also holds an A^dag A entry
+                buf[pos] = (A.data[q, None] * conj).ravel()
+                touched.append(pos)
+            else:
+                acc[pos] += rate * (A.data[q, None] * conj).ravel()
+        half = np.repeat(0.5 * AdA.data, d)
+        for R, C in ((np.add.outer(AdA.row * d, ar), np.add.outer(AdA.col * d, ar)),
+                     (np.add.outer(AdA.col, ar * d), np.add.outer(AdA.row, ar * d))):
+            pos = slots(R.ravel(), C.ravel())
+            buf[pos] -= half
+            touched.append(pos)
+        for pos in touched:
+            acc[pos] += rate * buf[pos]
+            buf[pos] = 0
+    del buf
+    nz = acc != 0
+    data, counts = acc[nz], np.add.reduceat(nz, rowstart[:-1], dtype=np.int64)
+    del acc
+    cols = np.flatnonzero(nz)
+    cols += np.repeat(first[blk] - rowstart[:-1], counts)
+    indptr = np.concatenate(([0], np.cumsum(counts)))
+    return sp.csr_matrix((data, members[cols], indptr), shape=(d * d, d * d))
 
 
 @dataclass
@@ -186,9 +238,6 @@ class Trajectory:
     times: np.ndarray
     metrics: list[dict]
     final_state: np.ndarray  # lab frame
-
-    def column(self, name: str) -> np.ndarray:
-        return np.array([m[name] for m in self.metrics])
 
 
 RATE_STEP_BOUND = 1e-3  # RK4 step times the largest total jump rate
@@ -306,10 +355,7 @@ def _bare_word_operator(k: int, word: str) -> np.ndarray:
 
 
 def _logical_words(k: int):
-    words = [""]
-    for _ in range(k):
-        words = [w + l for w in words for l in "IXYZ"]
-    return words
+    return ["".join(w) for w in itertools.product("IXYZ", repeat=k)]
 
 
 def code_sector_projector(code: SubsystemCode) -> np.ndarray:
@@ -319,11 +365,10 @@ def code_sector_projector(code: SubsystemCode) -> np.ndarray:
     return P
 
 
-def ground_projector(code: SubsystemCode, w: WeightSpec) -> np.ndarray:
-    """Projector onto the ground subspace of H within the all-+1 code sector;
-    its dimension must be exactly 2^k."""
+def ground_projector(code: SubsystemCode, w: WeightSpec, P: np.ndarray) -> np.ndarray:
+    """Projector onto the ground subspace of H within the all-+1 code sector,
+    whose projector is ``P``; its dimension must be exactly 2^k."""
     H = build_full_hamiltonian(code, w).dense().astype(complex)
-    P = code_sector_projector(code)
     evals, evecs = np.linalg.eigh(P)
     cols = evecs[:, evals > 0.5]
     Hc = cols.conj().T @ H @ cols
@@ -338,11 +383,14 @@ def ground_projector(code: SubsystemCode, w: WeightSpec) -> np.ndarray:
     return B @ B.conj().T
 
 
-def encode_state(rho_L: np.ndarray, code: SubsystemCode, w: WeightSpec) -> np.ndarray:
+def encode_state(rho_L: np.ndarray, code: SubsystemCode, w: WeightSpec,
+                 P: np.ndarray | None = None) -> np.ndarray:
+    """Encode ``rho_L`` into the code-sector ground subspace of H; ``P`` is
+    the code-sector projector, built here when not given."""
     k = code.k
     if rho_L.shape != (1 << k, 1 << k):
         raise EncodingError(f"logical state must be {1 << k}x{1 << k}")
-    Pg = ground_projector(code, w)
+    Pg = ground_projector(code, w, code_sector_projector(code) if P is None else P)
     rho = np.zeros((1 << code.n, 1 << code.n), dtype=complex)
     for word in _logical_words(k):
         coeff = np.trace(rho_L @ _bare_word_operator(k, word)).conjugate()
@@ -371,9 +419,8 @@ def decode_logical(rho: np.ndarray, code: SubsystemCode) -> np.ndarray:
     return (out + out.conj().T) / 2
 
 
-def leakage(rho: np.ndarray, code: SubsystemCode) -> float:
-    """Population outside the all-+1 stabilizer sector."""
-    P = code_sector_projector(code)
+def leakage(rho: np.ndarray, P: np.ndarray) -> float:
+    """Population outside the all-+1 stabilizer sector, whose projector is ``P``."""
     return float(1 - np.trace(P @ rho).real)
 
 
@@ -403,11 +450,7 @@ def entanglement_of_formation(rho_L: np.ndarray) -> float:
     """
     if rho_L.shape != (4, 4):
         raise OpenSysError("entanglement of formation requires a two-qubit state")
-    vals, vecs = np.linalg.eigh((rho_L + rho_L.conj().T) / 2)
-    vals = np.clip(vals.real, 0, None)
-    if vals.sum() <= 0:
-        raise OpenSysError("state has no positive part")
-    rho = (vecs * (vals / vals.sum())) @ vecs.conj().T
+    rho = _psd_normalize(rho_L)
     rho_t = _YY @ rho.conj() @ _YY
     ev = np.linalg.eigvals(rho @ rho_t)
     lam = np.sqrt(np.clip(ev.real, 0, None))
@@ -427,14 +470,13 @@ def entanglement_of_formation(rho_L: np.ndarray) -> float:
 
 PLUS = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
 BELL = np.zeros((4, 4), dtype=complex)
-for _a in (0, 3):
-    for _b in (0, 3):
-        BELL[_a, _b] = 0.5
+BELL[np.ix_((0, 3), (0, 3))] = 0.5
 
 
-def _metrics_fn(code, rho0_L, rho0, metrics):
-    """Per-sample metrics of the decoded logical state (with the EoF for two
-    logical qubits), or of the physical state against ``rho0`` ("physical")."""
+def _metrics_fn(code, rho0_L, rho0, metrics, sector):
+    """Per-sample metrics of the decoded logical state (with the leakage out
+    of the code sector, projector ``sector``, and the EoF for two logical
+    qubits), or of the physical state against ``rho0`` ("physical")."""
     if metrics != "logical":
         def physical(rho, t):
             return {"trace_distance": trace_distance(rho, rho0), "purity": purity(rho)}
@@ -445,7 +487,7 @@ def _metrics_fn(code, rho0_L, rho0, metrics):
         m = {
             "trace_distance": trace_distance(rl, rho0_L),
             "purity": purity(_psd_normalize(rl)),
-            "leakage": leakage(rho, code),
+            "leakage": leakage(rho, sector),
         }
         if code.k == 2:
             m["eof"] = entanglement_of_formation(rl)
@@ -454,10 +496,11 @@ def _metrics_fn(code, rho0_L, rho0, metrics):
 
 
 def _psd_normalize(rho):
+    """The nearest density matrix: negative eigenvalues clipped, trace renormalized."""
     vals, vecs = np.linalg.eigh((rho + rho.conj().T) / 2)
     vals = np.clip(vals.real, 0, None)
     if vals.sum() <= 0:
-        return rho
+        raise OpenSysError("state has no positive part")
     return (vecs * (vals / vals.sum())) @ vecs.conj().T
 
 
@@ -472,9 +515,10 @@ def simulate_code(code: SubsystemCode, rho_L: np.ndarray, gamma: float,
     H = -lambda * sum(G) with lambda = gamma * omega_T, evolve, measure."""
     _check_dense_size(code)
     w = _suppressing_weights(code, gamma, bath)
-    rho0 = encode_state(rho_L, code, w)
+    sector = code_sector_projector(code)
+    rho0 = encode_state(rho_L, code, w, sector)
     g = davies_generator(code, w, bath)
-    return evolve(rho0, g, t_grid, metrics_fn=_metrics_fn(code, rho_L, rho0, metrics))
+    return evolve(rho0, g, t_grid, metrics_fn=_metrics_fn(code, rho_L, rho0, metrics, sector))
 
 
 def simulate_two_blocks(block_code: SubsystemCode, composite_code: SubsystemCode,
@@ -490,8 +534,9 @@ def simulate_two_blocks(block_code: SubsystemCode, composite_code: SubsystemCode
         raise OpenSysError("composite code is not two copies of the block code")
     _check_dense_size(composite_code, "two-block composite")
     t_grid = _time_grid(t_grid)
+    sector = code_sector_projector(composite_code)
     rho0 = encode_state(rho_L, composite_code,
-                        _suppressing_weights(composite_code, gamma, bath))
+                        _suppressing_weights(composite_code, gamma, bath), sector)
     g = davies_generator(block_code, _suppressing_weights(block_code, gamma, bath), bath)
     d = g.dim
     U = np.kron(g.basis, g.basis)  # two-block eigenbasis, block 1 on the slow index
@@ -511,4 +556,4 @@ def simulate_two_blocks(block_code: SubsystemCode, composite_code: SubsystemCode
             P = _rk4_span(L, P, span, h_max)
             yield U @ regroup(P @ M0 @ P.T) @ U.conj().T
 
-    return _sample(t_grid, states(), _metrics_fn(composite_code, rho_L, rho0, metrics))
+    return _sample(t_grid, states(), _metrics_fn(composite_code, rho_L, rho0, metrics, sector))

@@ -1,11 +1,12 @@
 """Independent reference values that only the tests use: closed-form sector
 spectra of the two small benchmark codes, the dense full spectrum, the Gibbs
-state and exact Lindblad propagators."""
+state, the sparse kron-sum Liouvillian and exact Lindblad propagators."""
 
 from __future__ import annotations
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse as sp
 
 from gaugeforge.spectra import FullHamiltonian
 
@@ -43,6 +44,23 @@ def gibbs_state(H: np.ndarray, omega_T: float) -> np.ndarray:
     w = np.exp(-(E - E[0]) / omega_T)
     w /= w.sum()
     return (V * w) @ V.conj().T
+
+
+def kron_liouvillian(g) -> sp.csr_matrix:
+    """The Davies Liouvillian on row-stacked vec(rho) as a running sparse sum,
+    one jump at a time: L += rate (A (x) conj(A) - 1/2 A^dag A (x) I
+    - 1/2 I (x) (A^dag A)^T), skipping zero rates."""
+    d = g.dim
+    I = sp.identity(d, format="csr", dtype=complex)
+    L = sp.csr_matrix((d * d, d * d), dtype=complex)
+    for _, rate, A in g.jumps:
+        if rate == 0.0:
+            continue
+        AdA = (A.conj().T @ A).tocsr()
+        L = L + rate * (sp.kron(A, A.conj(), format="csr")
+                        - 0.5 * sp.kron(AdA, I, format="csr")
+                        - 0.5 * sp.kron(I, AdA.T, format="csr"))
+    return L.tocsr()
 
 
 def lindblad_propagators(jumps, dim: int, t_grid) -> list[np.ndarray]:

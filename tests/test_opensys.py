@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gaugeforge import opensys
 from gaugeforge.codes import CodeMatrix, build_code, combined_matrix
@@ -24,6 +26,7 @@ from gaugeforge.opensys import (
     entanglement_of_formation,
     evolve,
     leakage,
+    lindblad_superoperator,
     pauli_matrix,
     purity,
     simulate_code,
@@ -33,7 +36,7 @@ from gaugeforge.opensys import (
 )
 from gaugeforge.pauli import PauliOp
 from gaugeforge.spectra import WeightSpec, build_full_hamiltonian
-from tests.oracles import gibbs_state, lindblad_propagators
+from tests.oracles import gibbs_state, kron_liouvillian, lindblad_propagators
 
 M412 = [[1, 1], [1, 1]]
 M622 = [[1, 1, 0], [0, 1, 1], [1, 0, 1]]
@@ -137,6 +140,46 @@ def test_bohr_frequencies_come_from_sector_eigenvalues():
 
 
 # ---------------------------------------------------------------------------
+# Liouvillian assembly
+# ---------------------------------------------------------------------------
+
+def assert_bitwise_equal(L, ref):
+    assert L.shape == ref.shape
+    assert np.array_equal(L.indptr, ref.indptr)
+    assert np.array_equal(L.indices, ref.indices)
+    assert np.array_equal(L.data.view(float), ref.data.view(float))
+
+
+def test_liouvillian_matches_kron_oracle_bitwise():
+    for M in (M412, M622, [[1, 1, 1], [1, 1, 1]]):
+        code = build_code(CodeMatrix.from_matrix(M))
+        for bath in (BathSpec(chi=0.0), BathSpec()):
+            for gamma in (0.2, 1.2, 3.0):
+                w = WeightSpec.uniform(gamma * bath.omega_T, len(code.gauge_generators))
+                g = davies_generator(code, w, bath)
+                L = lindblad_superoperator(g)
+                assert_bitwise_equal(L, kron_liouvillian(g))
+                if bath.chi == 0.0:
+                    assert L.shape == (g.dim ** 2, g.dim ** 2) and L.nnz == 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.sampled_from([0.0, 1.0, 2.0]), min_size=8, max_size=8),
+       st.lists(st.sampled_from([0.0, 1e-9, 2e-9, 3e-9]), min_size=8, max_size=8),
+       st.integers(0, 2**32 - 1))
+def test_liouvillian_matches_kron_oracle_on_degenerate_spectra(levels, shifts, seed):
+    """Repeated eigenvalues give degenerate levels; shifts near the 1e-9
+    grouping tolerance split some levels and snap their Bohr frequencies
+    together, so one A(omega) can join two levels through A^dag A."""
+    rng = np.random.default_rng(seed)
+    Q, _ = np.linalg.qr(rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8)))
+    H = (Q * (np.array(levels) + np.array(shifts))) @ Q.conj().T
+    C = rng.normal(size=(2, 8, 8)) + 1j * rng.normal(size=(2, 8, 8))
+    g = davies_generator_from_h((H + H.conj().T) / 2, BathSpec(), [c + c.conj().T for c in C])
+    assert_bitwise_equal(lindblad_superoperator(g), kron_liouvillian(g))
+
+
+# ---------------------------------------------------------------------------
 # Evolution invariants
 # ---------------------------------------------------------------------------
 
@@ -217,7 +260,7 @@ def test_encode_decode_round_trip_random_states():
             rho_L = random_density(rng, 1 << code.k)
             rho = encode_state(rho_L, code, w)
             assert np.abs(decode_logical(rho, code) - rho_L).max() < 1e-10
-            assert leakage(rho, code) < 1e-9
+            assert leakage(rho, code_sector_projector(code)) < 1e-9
 
 
 def test_encode_plus_state_expectations():
@@ -260,8 +303,8 @@ def test_single_physical_error_flags_leakage():
     rho = encode_state(PLUS, code, w)
     Z11 = pauli_matrix(PauliOp.single(4, "Z", 0))
     rho_err = Z11 @ rho @ Z11
-    assert leakage(rho_err, code) > 0.1
     P = code_sector_projector(code)
+    assert leakage(rho_err, P) > 0.1
     assert np.trace(P @ rho_err).real < 1 - 1e-6
 
 
