@@ -95,19 +95,24 @@ def _parse_weights(spec_str: str, code) -> spectra.WeightSpec:
             with open(rest) as f:
                 values = json.load(f)
             return spectra.WeightSpec.explicit(values)
-    except (ValueError, OSError, json.JSONDecodeError, spectra.SpectraError) as exc:
+    except (ValueError, TypeError, OSError, json.JSONDecodeError, spectra.SpectraError) as exc:
         raise InputError(f"bad --weights {spec_str!r}: {exc}") from exc
     raise InputError(f"bad --weights {spec_str!r}: expected uniform:L, xz:L,E or file:PATH")
 
 
 def _parse_bath(spec_str: str | None) -> opensys.BathSpec:
+    if spec_str is not None and not isinstance(spec_str, str):
+        raise InputError(f"bad --bath {spec_str!r}: expected chi=..,omega_c=..,omega_T=..")
     kwargs = {}
     if spec_str:
         for item in spec_str.split(","):
             key, _, val = item.partition("=")
             if key not in ("chi", "omega_c", "omega_T") or not val:
                 raise InputError(f"bad --bath item {item!r}")
-            kwargs[key] = float(val)
+            try:
+                kwargs[key] = float(val)
+            except ValueError as exc:
+                raise InputError(f"bad --bath item {item!r}: {exc}") from exc
     try:
         return opensys.BathSpec(**kwargs)
     except opensys.OpenSysError as exc:
@@ -129,9 +134,8 @@ def _reduced_basis_from_report(cm: CodeMatrix, rep: dict) -> extraction.ReducedB
             x_stabilizers=[cm.parse(s) for s in rep["x_stabilizers"]],
             z_stabilizers=[cm.parse(s) for s in rep["z_stabilizers"]],
             aux_pairs=[(cm.parse(x), cm.parse(z)) for x, z in rep["aux_pairs"]],
-            provenance=[],
         )
-    except (KeyError, TypeError, PauliError) as exc:
+    except (KeyError, TypeError, ValueError, PauliError) as exc:
         raise InputError(f"malformed reduced-basis file: {exc}") from exc
 
 
@@ -224,15 +228,18 @@ def cmd_simulate(args, cfg) -> int:
     initial = r["initial"] or "plusL"
     blocks = r["blocks"] or "together"
     gammas = r["gamma"] if r["gamma"] is not None else "1.2"
-    t_max = float(r["t-max"]) if r["t-max"] is not None else 5e-8
-    samples = int(r["samples"]) if r["samples"] is not None else 26
+    try:
+        t_max = float(r["t-max"]) if r["t-max"] is not None else 5e-8
+        samples = int(r["samples"]) if r["samples"] is not None else 26
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"bad --t-max or --samples: {exc}") from exc
     metrics = r["metrics"] or "logical"
     if initial not in ("plusL", "bell") or blocks not in ("together", "separate"):
         raise InputError("--initial must be plusL|bell, --blocks together|separate")
     if metrics not in ("logical", "physical"):
         raise InputError("--metrics must be logical or physical")
-    if t_max <= 0 or samples < 2:
-        raise InputError("--t-max must be positive and --samples at least 2")
+    if not 0 < t_max < np.inf or samples < 2:
+        raise InputError("--t-max must be positive and finite and --samples at least 2")
     bath = _parse_bath(r["bath"])
     try:
         gamma_list = sorted(float(g) for g in str(gammas).split(","))
@@ -306,7 +313,7 @@ def cmd_encode_count(args, cfg) -> int:
         assignment = {int(q) - 1: (int(b), int(s))
                       for q, (b, s) in prob["assignment"].items()}
         transverse = bool(prob.get("transverse", True))
-    except (KeyError, TypeError, ValueError, codes.CodeError) as exc:
+    except (KeyError, TypeError, ValueError, AttributeError, codes.CodeError) as exc:
         raise InputError(f"malformed problem file: {exc}") from exc
     try:
         terms, counts = codes.encode_ising(h, J, assignment, layout, transverse=transverse)

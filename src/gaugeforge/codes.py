@@ -64,11 +64,11 @@ class CodeMatrix:
     def shape(self) -> tuple[int, int]:
         return self.matrix.shape
 
-    @property
+    @cached_property
     def index(self) -> dict[tuple[int, int], int]:
         return {rc: q for q, rc in enumerate(self.coords)}
 
-    @property
+    @cached_property
     def coord_map(self) -> dict[tuple[int, int], int]:
         """1-based (row, col) -> qubit index, for the operator text syntax."""
         return {(i + 1, j + 1): q for q, (i, j) in enumerate(self.coords)}
@@ -177,7 +177,6 @@ class SubsystemCode:
     x_stabilizers: tuple[PauliOp, ...]
     z_stabilizers: tuple[PauliOp, ...]
     logical_pairs: tuple[tuple[PauliOp, PauliOp], ...]
-    all_pairs: bool = False
 
     @property
     def gauge_generators(self) -> tuple[PauliOp, ...]:
@@ -269,7 +268,6 @@ def build_code(cm: CodeMatrix, all_pairs: bool = False) -> SubsystemCode:
         x_stabilizers=tuple(x_stabs),
         z_stabilizers=tuple(z_stabs),
         logical_pairs=logical_pairs,
-        all_pairs=all_pairs,
     )
 
 

@@ -37,7 +37,6 @@ class ReducedBasis:
     x_stabilizers: list[PauliOp]
     z_stabilizers: list[PauliOp]
     aux_pairs: list[tuple[PauliOp, PauliOp]]
-    provenance: list[dict]
 
     @property
     def num_aux(self) -> int:
@@ -84,7 +83,6 @@ class _State:
         self.z_stabs: list[PauliOp] = []
         self.aux_x: list[PauliOp] = []
         self.aux_z: list[PauliOp] = []
-        self.provenance: list[dict] = []
 
     # -- views of the current submatrix, as GF(2) vectors ------------------
     def row_vec(self, r: int) -> int:
@@ -123,8 +121,6 @@ class _State:
             raise ExtractionError(f"{stage}: auxiliary pair fails to anticommute ({detail})")
         self.aux_x.append(xop)
         self.aux_z.append(zop)
-        self.provenance.append({"kind": "aux_pair", "index": len(self.aux_x) - 1,
-                                "stage": stage, "detail": detail})
 
 
 def _minimal_cover_with_free(target: int, candidates: list[int], free: list[int]):
@@ -193,15 +189,11 @@ def _row_like_extraction(st: _State, axis: str):
         if axis == "row":
             qubits = [(r, c) for r in dep_set for c in st.cols if st.entry(r, c)]
             st.z_stabs.append(st.pauli("Z", qubits))
-            st.provenance.append({"kind": "z_stabilizer", "index": len(st.z_stabs) - 1,
-                                  "stage": "row", "detail": f"rows {[r + 1 for r in dep_set]}"})
         else:
             # full original columns, then repair (normally a no-op)
             qubits = [(r, c) for c in dep_set for r in range(st.cm.shape[0]) if st.entry(r, c)]
             stab = st.repair(st.pauli("X", qubits), against="z")
             st.x_stabs.append(stab)
-            st.provenance.append({"kind": "x_stabilizer", "index": len(st.x_stabs) - 1,
-                                  "stage": "column", "detail": f"columns {[c + 1 for c in dep_set]}"})
 
         head = order[0]
         if axis == "row":
@@ -290,7 +282,6 @@ def extract_reduced_basis(cm: CodeMatrix) -> ReducedBasis:
         x_stabilizers=st.x_stabs,
         z_stabilizers=st.z_stabs,
         aux_pairs=list(zip(st.aux_x, st.aux_z)),
-        provenance=st.provenance,
     )
 
 

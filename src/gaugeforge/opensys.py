@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .codes import SubsystemCode
+from .codes import SubsystemCode, _logical_factor
 from .pauli import PauliOp
 from .spectra import WeightSpec, build_full_hamiltonian, z_signs
 
@@ -43,8 +43,9 @@ class BathSpec:
     omega_T: float = 2.2e9
 
     def __post_init__(self):
-        if self.chi < 0 or self.omega_c <= 0 or self.omega_T <= 0:
-            raise OpenSysError("bath parameters must be positive (chi may be zero)")
+        if not (0 <= self.chi < math.inf and 0 < self.omega_c < math.inf
+                and 0 < self.omega_T < math.inf):
+            raise OpenSysError("bath parameters must be finite and positive (chi may be zero)")
 
 
 def bath_correlation(omega: float, b: BathSpec) -> float:
@@ -253,20 +254,23 @@ def _step_bound(g: DaviesGenerator) -> float:
     return RATE_STEP_BOUND / rate if rate > 0 else np.inf
 
 
-def _rk4_span(L, y, span: float, h_max: float):
-    """Fixed-step RK4 for dy/dt = L y over ``span``, in the fewest equal steps
-    no longer than ``h_max``; ``y`` is a vector or a matrix of column vectors."""
-    if span <= 0:
-        return y
-    steps = max(1, int(math.ceil(span / h_max))) if np.isfinite(h_max) else 1
-    h = span / steps
-    for _ in range(steps):
-        k1 = L @ y
-        k2 = L @ (y + 0.5 * h * k1)
-        k3 = L @ (y + 0.5 * h * k2)
-        k4 = L @ (y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-    return y
+def _propagate(g: DaviesGenerator, y, t_grid: np.ndarray):
+    """Fixed-step RK4 for dy/dt = L y, L the Liouvillian of ``g``; ``y`` is a
+    vector or a matrix of column vectors.  Yields ``y`` after each span of
+    ``t_grid``, stepped in the fewest equal steps within the step bound."""
+    L = lindblad_superoperator(g)
+    h_max = _step_bound(g)
+    for span in np.diff(t_grid):
+        if span > 0:
+            steps = max(1, int(math.ceil(span / h_max))) if np.isfinite(h_max) else 1
+            h = span / steps
+            for _ in range(steps):
+                k1 = L @ y
+                k2 = L @ (y + 0.5 * h * k1)
+                k3 = L @ (y + 0.5 * h * k2)
+                k4 = L @ (y + h * k3)
+                y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        yield y
 
 
 def _check_state(rho: np.ndarray, t: float):
@@ -283,8 +287,9 @@ def _check_state(rho: np.ndarray, t: float):
 
 def _time_grid(t_grid) -> np.ndarray:
     t_grid = np.asarray(t_grid, dtype=float)
-    if t_grid.ndim != 1 or t_grid.size == 0 or t_grid[0] != 0 or np.any(np.diff(t_grid) < 0):
-        raise OpenSysError("time grid must be a nondecreasing sequence starting at 0")
+    if (t_grid.ndim != 1 or t_grid.size == 0 or t_grid[0] != 0
+            or not np.all(np.isfinite(t_grid)) or np.any(np.diff(t_grid) < 0)):
+        raise OpenSysError("time grid must be a finite nondecreasing sequence starting at 0")
     return t_grid
 
 
@@ -311,51 +316,25 @@ def evolve(rho0: np.ndarray, g: DaviesGenerator, t_grid, metrics_fn=None) -> Tra
     if float(np.linalg.eigvalsh((rho0 + rho0.conj().T) / 2)[0]) < -1e-10:
         raise OpenSysError("initial state must be positive semidefinite")
 
-    L = lindblad_superoperator(g)
-    h_max = _step_bound(g)
-
-    def states():
-        yield rho0
-        y = g.to_eigenbasis(rho0).reshape(-1)  # row stacking, matching lindblad_superoperator
-        for span in np.diff(t_grid):
-            y = _rk4_span(L, y, span, h_max)
-            yield g.from_eigenbasis(y.reshape(g.dim, g.dim))
-
-    return _sample(t_grid, states(), metrics_fn)
+    y0 = g.to_eigenbasis(rho0).reshape(-1)  # row stacking, matching lindblad_superoperator
+    states = (g.from_eigenbasis(y.reshape(g.dim, g.dim)) for y in _propagate(g, y0, t_grid))
+    return _sample(t_grid, itertools.chain([rho0], states), metrics_fn)
 
 
 # ---------------------------------------------------------------------------
 # Encoding and decoding of logical states
 # ---------------------------------------------------------------------------
 
-def _logical_word_operator(code: SubsystemCode, word: str) -> np.ndarray:
-    """Dense matrix of the encoded Pauli word (one letter in IXYZ per logical qubit)."""
-    op = PauliOp.identity(code.n)
-    for i, letter in enumerate(word):
-        if letter == "I":
-            continue
-        xl, zl = code.logical_pairs[i]
-        if letter == "X":
-            op = op * xl
-        elif letter == "Z":
-            op = op * zl
-        elif letter == "Y":
-            op = op * PauliOp(code.n, 0, 0, 1) * xl * zl
-        else:
-            raise OpenSysError(f"bad logical word letter {letter!r}")
-    return pauli_matrix(op)
-
-
-def _bare_word_operator(k: int, word: str) -> np.ndarray:
-    op = PauliOp.identity(k)
-    for i, letter in enumerate(word):
-        if letter != "I":
-            op = op * PauliOp.single(k, letter, i)
-    return pauli_matrix(op)
-
-
-def _logical_words(k: int):
-    return ["".join(w) for w in itertools.product("IXYZ", repeat=k)]
+def _word_operators(code: SubsystemCode):
+    """For each logical Pauli word, in IXYZ^k order, the dense bare k-qubit
+    matrix and the dense encoded 2^n matrix."""
+    for word in itertools.product("IXYZ", repeat=code.k):
+        bare, enc = PauliOp.identity(code.k), PauliOp.identity(code.n)
+        for i, letter in enumerate(word):
+            if letter != "I":
+                bare = bare * PauliOp.single(code.k, letter, i)
+                enc = enc * _logical_factor(code, i, letter)
+        yield pauli_matrix(bare), pauli_matrix(enc)
 
 
 def code_sector_projector(code: SubsystemCode) -> np.ndarray:
@@ -392,11 +371,11 @@ def encode_state(rho_L: np.ndarray, code: SubsystemCode, w: WeightSpec,
         raise EncodingError(f"logical state must be {1 << k}x{1 << k}")
     Pg = ground_projector(code, w, code_sector_projector(code) if P is None else P)
     rho = np.zeros((1 << code.n, 1 << code.n), dtype=complex)
-    for word in _logical_words(k):
-        coeff = np.trace(rho_L @ _bare_word_operator(k, word)).conjugate()
+    for bare, enc in _word_operators(code):
+        coeff = np.trace(rho_L @ bare).conjugate()
         if abs(coeff) < 1e-14:
             continue
-        rho += coeff * (_logical_word_operator(code, word) @ Pg)
+        rho += coeff * (enc @ Pg)
     rho /= 1 << k
     rho = (rho + rho.conj().T) / 2
     if abs(rho.trace().real - 1) > 1e-9:
@@ -412,9 +391,8 @@ def decode_logical(rho: np.ndarray, code: SubsystemCode) -> np.ndarray:
     that leaked out of the code sector."""
     k = code.k
     out = np.zeros((1 << k, 1 << k), dtype=complex)
-    for word in _logical_words(k):
-        val = np.trace(rho @ _logical_word_operator(code, word))
-        out += val * _bare_word_operator(k, word).conj().T
+    for bare, enc in _word_operators(code):
+        out += np.trace(rho @ enc) * bare.conj().T
     out /= 1 << k
     return (out + out.conj().T) / 2
 
@@ -540,20 +518,14 @@ def simulate_two_blocks(block_code: SubsystemCode, composite_code: SubsystemCode
     g = davies_generator(block_code, _suppressing_weights(block_code, gamma, bath), bath)
     d = g.dim
     U = np.kron(g.basis, g.basis)  # two-block eigenbasis, block 1 on the slow index
-    L = lindblad_superoperator(g)
-    h_max = _step_bound(g)
 
     def regroup(rho):
         # rho[a*d+b, c*d+e] <-> M[a*d+c, b*d+e]: block 1 lives on legs (a, c)
         # and block 2 on legs (b, e), so Phi (x) Phi acts as M -> P M P^T
         return rho.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
 
-    def states():
-        yield rho0
-        M0 = regroup(U.conj().T @ rho0 @ U)
-        P = np.eye(d * d, dtype=complex)
-        for span in np.diff(t_grid):
-            P = _rk4_span(L, P, span, h_max)
-            yield U @ regroup(P @ M0 @ P.T) @ U.conj().T
-
-    return _sample(t_grid, states(), _metrics_fn(composite_code, rho_L, rho0, metrics, sector))
+    M0 = regroup(U.conj().T @ rho0 @ U)
+    states = (U @ regroup(P @ M0 @ P.T) @ U.conj().T
+              for P in _propagate(g, np.eye(d * d, dtype=complex), t_grid))
+    return _sample(t_grid, itertools.chain([rho0], states),
+                   _metrics_fn(composite_code, rho_L, rho0, metrics, sector))

@@ -174,6 +174,32 @@ def test_exit_code_2_for_input_errors(capsys, tmp_path):
     assert code == 2  # separate requires bell
 
 
+@pytest.mark.parametrize("files, argv", [
+    pytest.param({"cfg.json": {"samples": "abc"}},
+                 ["--config", "{tmp}/cfg.json", "simulate", "m412"], id="config-samples"),
+    pytest.param({"cfg.json": {"t-max": "x"}},
+                 ["--config", "{tmp}/cfg.json", "simulate", "m412"], id="config-t-max"),
+    pytest.param({"cfg.json": {"bath": 5}},
+                 ["--config", "{tmp}/cfg.json", "simulate", "m412"], id="config-bath"),
+    pytest.param({}, ["simulate", "m412", "--bath", "chi=abc"], id="bath-value"),
+    pytest.param({}, ["simulate", "m412", "--bath", "chi=nan"], id="bath-nan"),
+    pytest.param({}, ["simulate", "m412", "--t-max", "nan"], id="t-max-nan"),
+    pytest.param({"w.json": 5}, ["spectrum", "m412", "--weights", "file:{tmp}/w.json"],
+                 id="weights-file"),
+    pytest.param({"prob.json": {"blocks": [[[1, 1], [1, 1]]], "assignment": [1]}},
+                 ["encode-count", "{tmp}/prob.json"], id="encode-count-assignment"),
+    pytest.param({"basis.json": {"x_stabilizers": [], "z_stabilizers": [],
+                                 "aux_pairs": [["X[1,1] X[1,2]"]]}},
+                 ["spectrum", "m412", "--basis", "{tmp}/basis.json"], id="basis-aux-pair"),
+])
+def test_exit_code_2_for_malformed_values(capsys, matrices, tmp_path, files, argv):
+    for name, value in files.items():
+        (tmp_path / name).write_text(json.dumps(value))
+    code, out, err = run(capsys, *(matrices.get(a, a.format(tmp=tmp_path)) for a in argv))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("command", [["code", "info"], ["code", "reduce"], ["spectrum"]])
 @pytest.mark.parametrize("text, message", [
     pytest.param("1\n" * 21, "21x1 too large for exhaustive distance", id="21x1"),

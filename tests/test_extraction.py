@@ -83,7 +83,6 @@ def hand_listed_basis(cm) -> ReducedBasis:
         x_stabilizers=x_stabs,
         z_stabilizers=z_stabs,
         aux_pairs=list(zip(x_aux, z_aux)),
-        provenance=[],
     )
 
 
@@ -166,7 +165,6 @@ def test_verifier_flags_broken_basis():
         x_stabilizers=rb.x_stabilizers,
         z_stabilizers=rb.z_stabilizers,
         aux_pairs=[(rb.aux_pairs[0][0], cm.parse("Z[1,1] Z[1,2]"))],
-        provenance=[],
     )
     report = verify_reduced_basis(code, bad)
     assert not report.ok
@@ -175,7 +173,6 @@ def test_verifier_flags_broken_basis():
         x_stabilizers=[cm.parse("Y[1,1] Z[1,1] X[1,2] X[2,1] X[2,2]")],
         z_stabilizers=rb.z_stabilizers,
         aux_pairs=rb.aux_pairs,
-        provenance=[],
     )
     report = verify_reduced_basis(code, phased)
     assert ("membership", "x_stab[0]: phase +/-i") in report.violations

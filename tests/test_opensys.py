@@ -62,6 +62,9 @@ def test_bath_spec_validation():
         BathSpec(chi=-1e-4)
     with pytest.raises(OpenSysError):
         BathSpec(omega_c=0.0)
+    for bad in ({"chi": math.nan}, {"omega_c": math.inf}, {"omega_T": math.nan}):
+        with pytest.raises(OpenSysError):
+            BathSpec(**bad)
     BathSpec(chi=0.0)  # zero coupling is allowed
 
 
@@ -252,6 +255,29 @@ def test_simulate_code_matches_expm_oracle(sampled_states):
 # Encoding and decoding
 # ---------------------------------------------------------------------------
 
+@pytest.mark.parametrize("matrices", [[M412], [M622], [[[1, 1, 1], [1, 1, 1]]], [M412, M412]],
+                         ids=["M412", "M622", "2x3", "M412-two-block"])
+def test_word_operators_multiply_like_bare_words(matrices):
+    """enc(a) enc(b) = c enc(ab) with the phase c of bare(a) bare(b) = c bare(ab),
+    and every encoded word commutes with every gauge generator."""
+    cms = [CodeMatrix.from_matrix(M) for M in matrices]
+    code = build_code(cms[0] if len(cms) == 1 else combined_matrix(cms))
+    words = list(opensys._word_operators(code))
+    assert len(words) == 4 ** code.k
+    for bare_a, enc_a in words:
+        for bare_b, enc_b in words:
+            prod = bare_a @ bare_b
+            overlaps = [np.trace(bare.conj().T @ prod) / (1 << code.k) for bare, _ in words]
+            j = int(np.argmax(np.abs(overlaps)))
+            c = overlaps[j]
+            assert c in (1, -1, 1j, -1j) and np.array_equal(prod, c * words[j][0])
+            assert np.array_equal(enc_a @ enc_b, c * words[j][1])
+    for g in code.gauge_generators:
+        G = pauli_matrix(g)
+        for _, enc in words:
+            assert np.array_equal(enc @ G, G @ enc)
+
+
 def test_encode_decode_round_trip_random_states():
     rng = np.random.default_rng(47)
     for M in (M412, M622):
@@ -396,7 +422,7 @@ def test_two_block_shape_guard():
         simulate_two_blocks(block, block, np.kron(PLUS, PLUS), 1.0, BathSpec(),
                             np.linspace(0, 1e-9, 2))
     comp = build_code(combined_matrix([cm, cm]))
-    for grid in ([], [1e-9, 2e-9], [0, 2e-9, 1e-9]):
+    for grid in ([], [1e-9, 2e-9], [0, 2e-9, 1e-9], [0, np.nan], [0, np.inf]):
         with pytest.raises(OpenSysError, match="time grid"):
             simulate_two_blocks(block, comp, BELL, 1.0, BathSpec(), grid)
         with pytest.raises(OpenSysError, match="time grid"):
