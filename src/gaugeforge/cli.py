@@ -230,7 +230,7 @@ def cmd_simulate(args, cfg) -> int:
     gammas = r["gamma"] if r["gamma"] is not None else "1.2"
     try:
         t_max = float(r["t-max"]) if r["t-max"] is not None else 5e-8
-        samples = int(r["samples"]) if r["samples"] is not None else 26
+        samples = int(str(r["samples"])) if r["samples"] is not None else 26  # int(2.5) truncates
     except (TypeError, ValueError) as exc:
         raise InputError(f"bad --t-max or --samples: {exc}") from exc
     metrics = r["metrics"] or "logical"

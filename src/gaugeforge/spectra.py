@@ -103,10 +103,10 @@ def z_signs(z: int, n: int) -> np.ndarray:
 
 
 def _dense(terms, dim: int) -> np.ndarray:
-    """sum_t c_t X^x_t Z^z_t as a dense matrix, from (c, x, z_signs) triples."""
+    """sum_t c_t X^x_t Z^z_t as a dense matrix, from (c, x, z_signs or 1.0, ...) tuples."""
     H = np.zeros((dim, dim))
     idx = np.arange(dim)
-    for c, x, signs in terms:
+    for c, x, signs, *_ in terms:
         H[idx ^ x, idx] += c * signs
     return H
 
@@ -114,7 +114,7 @@ def _dense(terms, dim: int) -> np.ndarray:
 def _decompose_terms(code: SubsystemCode, rb: ReducedBasis, weights: np.ndarray) -> list[tuple]:
     """Per gauge generator: (-weight * sign, the positions in a sector tuple of
     the stabilizers it decomposes over, its aux-qubit X mask, the diagonal of
-    its aux-qubit Z part)."""
+    its aux-qubit Z part or 1.0 for an X-type generator)."""
     terms = []
     x_basis = list(rb.x_stabilizers) + rb.aux_x()
     z_basis = list(rb.z_stabilizers) + rb.aux_z()
@@ -128,7 +128,7 @@ def _decompose_terms(code: SubsystemCode, rb: ReducedBasis, weights: np.ndarray)
         terms.append((-float(weights[idx]) * sign,
                       [offset + i for i in range(ns) if e >> i & 1],
                       aux if is_x else 0,
-                      z_signs(0 if is_x else aux, rb.num_aux)))
+                      1.0 if is_x else z_signs(aux, rb.num_aux)))
     return terms
 
 
@@ -184,7 +184,10 @@ def energy_separation(code: SubsystemCode, rb: ReducedBasis, w: WeightSpec) -> S
 # ---------------------------------------------------------------------------
 
 class FullHamiltonian(spla.LinearOperator):
-    """v -> -sum_G w_G (G v) applied term by term with bit manipulation."""
+    """v -> -sum_G w_G (G v) on the full 2^n space, one term c X^x Z^z at a time
+    in generator order: multiply v by the Z diagonal (-1)^{|i & z|}, kept only for
+    z != 0, flip the axes of x on a ``(2,) * n`` view (qubit q is axis n-1-q) and
+    add c times that into the output, through one reused scratch vector."""
 
     def __init__(self, code: SubsystemCode, w: WeightSpec):
         if code.n > 20:
@@ -200,19 +203,21 @@ class FullHamiltonian(spla.LinearOperator):
                 raise SpectraError("gauge generators must be Hermitian")
             # raw X^x Z^z action: P|i> = i^r (-1)^{|i & z|} |i ^ x>
             r = (g.phase + (g.x & g.z).bit_count()) % 4
-            coeff = -wt * (1.0 if r == 0 else -1.0 if r == 2 else None)
-            if coeff is None:
-                raise SpectraError("imaginary raw phase on a Hermitian pure-type term")
-            self._terms.append((coeff, g.x, z_signs(g.z, code.n)))
+            if r % 2:
+                raise SpectraError("imaginary raw phase on a Hermitian term: no real matrix")
+            self._terms.append((-wt * (-1.0) ** (r // 2), g.x, z_signs(g.z, code.n) if g.z else 1.0,
+                                tuple(code.n - 1 - q for q in range(code.n) if g.x >> q & 1)))
         super().__init__(dtype=float, shape=(dim, dim))
 
     def _matvec(self, v):
         v = np.asarray(v).reshape(-1)
         out = np.zeros_like(v, dtype=float)
-        dim = v.size
-        idx = np.arange(dim)
-        for coeff, xmask, zsigns in self._terms:
-            out[idx ^ xmask] += coeff * (zsigns * v)
+        tmp = np.empty_like(out)
+        for coeff, _, signs, axes in self._terms:
+            u = v if isinstance(signs, float) else np.multiply(signs, v, out=tmp)
+            np.multiply(np.flip(u.reshape((2,) * self.n), axes), coeff,
+                        out=tmp.reshape((2,) * self.n))
+            out += tmp
         return out
 
     def _rmatvec(self, v):

@@ -1,6 +1,7 @@
 """Independent reference values that only the tests use: closed-form sector
-spectra of the two small benchmark codes, the dense full spectrum, the Gibbs
-state, the sparse kron-sum Liouvillian and exact Lindblad propagators."""
+spectra of the two small benchmark codes, the dense full spectrum, the
+full-space product as per-term scatters, the Gibbs state, the sparse kron-sum
+Liouvillian and exact Lindblad propagators."""
 
 from __future__ import annotations
 
@@ -8,7 +9,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 
-from gaugeforge.spectra import FullHamiltonian
+from gaugeforge.spectra import FullHamiltonian, z_signs
 
 
 def analytic_oracle_412(lam1, lam2, eta1, eta2, sector) -> np.ndarray:
@@ -37,6 +38,20 @@ def analytic_oracle_622(lam, eta, sector) -> np.ndarray:
 
 def full_spectrum(op: FullHamiltonian) -> np.ndarray:
     return np.linalg.eigvalsh(op.dense())
+
+
+def scatter_matvec(code, w, v: np.ndarray) -> np.ndarray:
+    """-sum_G w_G (G v) for pure-type gauge generators, one fancy-index
+    scatter per nonzero weight in generator order:
+    out[i ^ x] += (-w sign) * ((-1)^{|i & z|} v[i]).  Every output entry gets
+    the same products in the same order as ``FullHamiltonian.matvec``, so the
+    two must agree bit for bit."""
+    idx = np.arange(v.size)
+    out = np.zeros(v.size)
+    for g, wt in zip(code.gauge_generators, w.for_code(code)):
+        if wt != 0:
+            out[idx ^ g.x] += -wt * g.sign * (z_signs(g.z, code.n) * v)
+    return out
 
 
 def gibbs_state(H: np.ndarray, omega_T: float) -> np.ndarray:

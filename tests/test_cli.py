@@ -177,6 +177,9 @@ def test_exit_code_2_for_input_errors(capsys, tmp_path):
 @pytest.mark.parametrize("files, argv", [
     pytest.param({"cfg.json": {"samples": "abc"}},
                  ["--config", "{tmp}/cfg.json", "simulate", "m412"], id="config-samples"),
+    pytest.param({"cfg.json": {"samples": 2.5}},
+                 ["--config", "{tmp}/cfg.json", "simulate", "m412", "--t-max", "1e-9"],
+                 id="config-samples-fraction"),
     pytest.param({"cfg.json": {"t-max": "x"}},
                  ["--config", "{tmp}/cfg.json", "simulate", "m412"], id="config-t-max"),
     pytest.param({"cfg.json": {"bath": 5}},
@@ -295,6 +298,8 @@ GOLDEN_REPORTS = {
     ("code", "info", "m55"): "0c7b4cb1b705f82d608ab5113713b97646a3ea4bf2878bf40fb4d29f2d5d2a03",
     ("code", "reduce", "m55"): "8c26464fb89e5a52c2ef7b6ef9b8e29920fb387ab029a737b27087f8e6716f24",
     ("spectrum", "m55"): "74b6dd61bde705c57db84fa2b1685381f011df69e4a99cbc4e35111f11227b6c",
+    ("spectrum", "m55", "--full-check"):
+        "94764157fd6107be8e0af883fa255555540313b11f0cf7a3c052f43c5e8ad6e7",
     ("simulate", "m412", "--initial", "plusL", "--gamma", "0.8,1.2", "--t-max", "2e-8",
      "--samples", "6"): "48f1607ccf5df779bf6f6825088b8393d20280607a1d6ba776977bd068b9aa89",
 }

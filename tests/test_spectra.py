@@ -2,17 +2,19 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gaugeforge import spectra
 from gaugeforge.codes import CodeMatrix, build_code
 from gaugeforge.extraction import extract_reduced_basis
+from gaugeforge.pauli import PauliOp
 from gaugeforge.spectra import (
     SpectraError,
     WeightSpec,
@@ -22,7 +24,7 @@ from gaugeforge.spectra import (
     sector_spectra,
     z_signs,
 )
-from tests.oracles import analytic_oracle_412, analytic_oracle_622, full_spectrum
+from tests.oracles import analytic_oracle_412, analytic_oracle_622, full_spectrum, scatter_matvec
 
 M412 = [[1, 1], [1, 1]]
 M622 = [[1, 1, 0], [0, 1, 1], [1, 0, 1]]
@@ -128,6 +130,37 @@ def test_sector_minimum_matches_full_ground_energy():
         e_min = min(rep.ground_energies.values())
         e_full = full_ground_energy(build_full_hamiltonian(code, w))
         assert abs(e_min - e_full) < 1e-8
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.booleans())
+def test_full_matvec_matches_scatter_oracle_bitwise(seed, all_pairs):
+    # the seed draws the matrix, so code sizes spread evenly up to 12 qubits
+    rng = np.random.default_rng(seed)
+    r, c = rng.integers(1, 5, size=2)
+    M = rng.integers(0, 2, size=(r, c))
+    M[np.arange(r), rng.integers(0, c, r)] = 1  # no empty row
+    M[rng.integers(0, r, c), np.arange(c)] = 1  # no empty column
+    assume(M.sum() <= 12)
+    code = build_code(CodeMatrix.from_matrix(M), all_pairs=all_pairs)
+    assume(code.gauge_generators)
+    num = len(code.gauge_generators)
+    weights = rng.uniform(-3.0, 3.0, num) * (rng.random(num) < 0.75)  # a quarter zero
+    assume(weights.any())
+    w = WeightSpec.explicit(weights)
+    v = rng.standard_normal(1 << code.n)
+    op = build_full_hamiltonian(code, w)
+    got = op.matvec(v)
+    assert np.array_equal(got.view(np.int64), scatter_matvec(code, w, v).view(np.int64))
+    assert np.abs(got - op.dense() @ v).max() <= 1e-12 * np.abs(weights).max()
+
+
+def test_full_hamiltonian_rejects_imaginary_raw_phase():
+    code, _ = make(M412)
+    # Y = i X Z: Hermitian, but its X^x Z^z action carries a factor i
+    bad = dataclasses.replace(code, x_gauge=(PauliOp.single(4, "Y", 0),) + code.x_gauge[1:])
+    with pytest.raises(SpectraError, match="imaginary raw phase"):
+        build_full_hamiltonian(bad, WeightSpec.uniform(1.0, 4))
 
 
 def test_code_sector_is_global_minimum_for_benchmarks():
