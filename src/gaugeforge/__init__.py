@@ -43,7 +43,7 @@ from .pauli import (
     pauli_from_string,
 )
 from .spectra import (
-    FullHamiltonian,
+    PauliSum,
     SeparationReport,
     WeightSpec,
     build_full_hamiltonian,
@@ -59,9 +59,9 @@ __all__ = [
     "CodeMatrix",
     "DaviesGenerator",
     "ExtractionError",
-    "FullHamiltonian",
     "PauliError",
     "PauliOp",
+    "PauliSum",
     "ReducedBasis",
     "SeparationReport",
     "SubsystemCode",

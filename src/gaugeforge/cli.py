@@ -205,7 +205,7 @@ def cmd_spectrum(args, cfg) -> int:
     if args.full_check:
         try:
             e_full = spectra.full_ground_energy(spectra.build_full_hamiltonian(code, w))
-        except spectra.ConvergenceError as exc:
+        except spectra.SpectraError as exc:  # too many qubits or no convergence
             raise ComputeError(str(exc)) from exc
         report["full_ground_energy"] = e_full
     _emit(report, args.out)
@@ -229,8 +229,9 @@ def cmd_simulate(args, cfg) -> int:
     blocks = r["blocks"] or "together"
     gammas = r["gamma"] if r["gamma"] is not None else "1.2"
     try:
-        t_max = float(r["t-max"]) if r["t-max"] is not None else 5e-8
-        samples = int(str(r["samples"])) if r["samples"] is not None else 26  # int(2.5) truncates
+        # through str, as float(True) is 1.0 and int(2.5) truncates
+        t_max = float(str(r["t-max"])) if r["t-max"] is not None else 5e-8
+        samples = int(str(r["samples"])) if r["samples"] is not None else 26
     except (TypeError, ValueError) as exc:
         raise InputError(f"bad --t-max or --samples: {exc}") from exc
     metrics = r["metrics"] or "logical"

@@ -19,7 +19,7 @@ import scipy.sparse as sp
 
 from .codes import SubsystemCode, _logical_factor
 from .pauli import PauliOp
-from .spectra import WeightSpec, build_full_hamiltonian, z_signs
+from .spectra import PauliSum, WeightSpec, build_full_hamiltonian
 
 
 class OpenSysError(Exception):
@@ -68,14 +68,7 @@ def bath_correlation(omega: float, b: BathSpec) -> float:
 
 def pauli_matrix(op: PauliOp) -> np.ndarray:
     """Dense complex matrix of a phased Pauli operator (qubit 0 = fastest bit)."""
-    dim = 1 << op.n
-    idx = np.arange(dim)
-    rows = idx ^ op.x
-    raw = (op.phase + (op.x & op.z).bit_count()) % 4
-    vals = (1j) ** raw * z_signs(op.z, op.n)
-    M = np.zeros((dim, dim), dtype=complex)
-    M[rows, idx] = vals
-    return M
+    return PauliSum([(1, op)], op.n, complex).dense()
 
 
 @dataclass

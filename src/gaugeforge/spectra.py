@@ -4,7 +4,8 @@ The Hamiltonian H = -sum_G w_G G commutes with every stabilizer, so it block
 diagonalizes over stabilizer sectors.  Within a sector each gauge generator
 reduces to a signed Pauli word on the auxiliary qubits, giving a dense
 2^a x 2^a matrix per sector instead of the full 2^n space.  The full-space
-route is kept as an independent cross-check.
+route is kept as an independent cross-check.  Sector and full-space
+Hamiltonians are both a ``PauliSum``.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import scipy.sparse.linalg as spla
 
 from .codes import SubsystemCode
 from .extraction import ReducedBasis
-from .pauli import express_in_basis
+from .pauli import PauliOp, express_in_basis
 
 DENSE_THRESHOLD = 4096  # full-space dimension up to which a dense solve is used
 
@@ -102,19 +103,59 @@ def z_signs(z: int, n: int) -> np.ndarray:
     return 1.0 - 2.0 * (parity & 1)
 
 
-def _dense(terms, dim: int) -> np.ndarray:
-    """sum_t c_t X^x_t Z^z_t as a dense matrix, from (c, x, z_signs or 1.0, ...) tuples."""
-    H = np.zeros((dim, dim))
-    idx = np.arange(dim)
-    for c, x, signs, *_ in terms:
-        H[idx ^ x, idx] += c * signs
-    return H
+class PauliSum(spla.LinearOperator):
+    """sum_t c_t P_t on ``n`` qubits (qubit 0 = fastest bit), from (c, PauliOp) pairs.
+
+    Each term is compiled once into c i^r X^x Z^z, with r the raw phase of P:
+    the coefficient with i^r folded in, the X mask, the Z diagonal
+    (-1)^{|i & z|} (1.0 when z = 0) and the axes that X flips on a ``(2,) * n``
+    view (qubit q is axis n-1-q).  A real sum (``dtype=float``) takes only
+    Hermitian terms with an even raw phase, so its matrix is real symmetric."""
+
+    def __init__(self, terms, n: int, dtype=float):
+        if n > 20:
+            raise SpectraError(f"Pauli sum limited to n <= 20 qubits, got {n}")
+        self.n = n
+        self._terms = []
+        for c, op in terms:
+            r = op._raw_phase()
+            if dtype is float:
+                if not op.is_hermitian:
+                    raise SpectraError("a real Pauli sum takes only Hermitian terms")
+                if r % 2:
+                    raise SpectraError("imaginary raw phase on a Hermitian term: no real matrix")
+            self._terms.append((c * (-1.0) ** (r // 2) if dtype is float else c * 1j ** r, op.x,
+                                z_signs(op.z, n) if op.z else 1.0,
+                                tuple(n - 1 - q for q in range(n) if op.x >> q & 1)))
+        super().__init__(dtype=dtype, shape=(1 << n, 1 << n))
+
+    def _matvec(self, v):
+        """One term at a time, in order: multiply v by the Z diagonal, flip the
+        X axes and add c times that into the output, through one scratch vector."""
+        v = np.asarray(v).reshape(-1)
+        out = np.zeros_like(v, dtype=np.result_type(v, self.dtype))
+        tmp = np.empty_like(out)
+        for c, _, signs, axes in self._terms:
+            u = v if isinstance(signs, float) else np.multiply(signs, v, out=tmp)
+            np.multiply(np.flip(u.reshape((2,) * self.n), axes), c,
+                        out=tmp.reshape((2,) * self.n))
+            out += tmp
+        return out
+
+    def dense(self, scale=None) -> np.ndarray:
+        """The matrix, with term t's coefficient times ``scale[t]`` when given."""
+        H = np.zeros(self.shape, dtype=self.dtype)
+        idx = np.arange(self.shape[0])
+        for t, (c, x, signs, _) in enumerate(self._terms):
+            H[idx ^ x, idx] += (c if scale is None else c * scale[t]) * signs
+        return H
 
 
 def _decompose_terms(code: SubsystemCode, rb: ReducedBasis, weights: np.ndarray) -> list[tuple]:
     """Per gauge generator: (-weight * sign, the positions in a sector tuple of
-    the stabilizers it decomposes over, its aux-qubit X mask, the diagonal of
-    its aux-qubit Z part or 1.0 for an X-type generator)."""
+    the stabilizers it decomposes over, its Pauli factor on the auxiliary
+    qubits).  A PauliOp has at least one qubit, so with no auxiliary qubits the
+    factor is the identity on one."""
     terms = []
     x_basis = list(rb.x_stabilizers) + rb.aux_x()
     z_basis = list(rb.z_stabilizers) + rb.aux_z()
@@ -127,14 +168,8 @@ def _decompose_terms(code: SubsystemCode, rb: ReducedBasis, weights: np.ndarray)
         aux = e >> ns
         terms.append((-float(weights[idx]) * sign,
                       [offset + i for i in range(ns) if e >> i & 1],
-                      aux if is_x else 0,
-                      1.0 if is_x else z_signs(aux, rb.num_aux)))
+                      PauliOp(max(rb.num_aux, 1), aux if is_x else 0, 0 if is_x else aux, 0)))
     return terms
-
-
-def _sector_matrix(terms: list[tuple], sector: tuple[int, ...], a: int) -> np.ndarray:
-    return _dense([(c * math.prod(sector[s] for s in stabs), x, signs)
-                   for c, stabs, x, signs in terms], 1 << a)
 
 
 def sector_spectra(code: SubsystemCode, rb: ReducedBasis, w: WeightSpec):
@@ -148,8 +183,9 @@ def sector_spectra(code: SubsystemCode, rb: ReducedBasis, w: WeightSpec):
     if n_stabs > 12 or rb.num_aux > 12:
         raise SpectraError("too many stabilizers or auxiliary pairs for dense enumeration")
     terms = _decompose_terms(code, rb, w.for_code(code))
+    aux_sum = PauliSum([(c, op) for c, _, op in terms], rb.num_aux)
     for sector in itertools.product((1, -1), repeat=n_stabs):
-        H = _sector_matrix(terms, sector, rb.num_aux)
+        H = aux_sum.dense([math.prod(sector[s] for s in stabs) for _, stabs, _ in terms])
         scale = max(np.abs(H).max(), 1.0)
         if np.abs(H - H.T).max() > 1e-12 * scale:
             raise SpectraError(f"sector {sector} Hamiltonian is not symmetric")
@@ -183,55 +219,13 @@ def energy_separation(code: SubsystemCode, rb: ReducedBasis, w: WeightSpec) -> S
 # Full-space cross-check
 # ---------------------------------------------------------------------------
 
-class FullHamiltonian(spla.LinearOperator):
-    """v -> -sum_G w_G (G v) on the full 2^n space, one term c X^x Z^z at a time
-    in generator order: multiply v by the Z diagonal (-1)^{|i & z|}, kept only for
-    z != 0, flip the axes of x on a ``(2,) * n`` view (qubit q is axis n-1-q) and
-    add c times that into the output, through one reused scratch vector."""
-
-    def __init__(self, code: SubsystemCode, w: WeightSpec):
-        if code.n > 20:
-            raise SpectraError(f"full-space operator limited to n <= 20, got {code.n}")
-        weights = w.for_code(code)
-        self.n = code.n
-        dim = 1 << code.n
-        self._terms = []
-        for g, wt in zip(code.gauge_generators, weights):
-            if wt == 0:
-                continue
-            if not g.is_hermitian:
-                raise SpectraError("gauge generators must be Hermitian")
-            # raw X^x Z^z action: P|i> = i^r (-1)^{|i & z|} |i ^ x>
-            r = (g.phase + (g.x & g.z).bit_count()) % 4
-            if r % 2:
-                raise SpectraError("imaginary raw phase on a Hermitian term: no real matrix")
-            self._terms.append((-wt * (-1.0) ** (r // 2), g.x, z_signs(g.z, code.n) if g.z else 1.0,
-                                tuple(code.n - 1 - q for q in range(code.n) if g.x >> q & 1)))
-        super().__init__(dtype=float, shape=(dim, dim))
-
-    def _matvec(self, v):
-        v = np.asarray(v).reshape(-1)
-        out = np.zeros_like(v, dtype=float)
-        tmp = np.empty_like(out)
-        for coeff, _, signs, axes in self._terms:
-            u = v if isinstance(signs, float) else np.multiply(signs, v, out=tmp)
-            np.multiply(np.flip(u.reshape((2,) * self.n), axes), coeff,
-                        out=tmp.reshape((2,) * self.n))
-            out += tmp
-        return out
-
-    def _rmatvec(self, v):
-        return self._matvec(v)
-
-    def dense(self) -> np.ndarray:
-        return _dense(self._terms, self.shape[0])
+def build_full_hamiltonian(code: SubsystemCode, w: WeightSpec) -> PauliSum:
+    """-sum_G w_G G on the full 2^n space, over the nonzero weights in generator order."""
+    return PauliSum([(-wt, g) for g, wt in zip(code.gauge_generators, w.for_code(code))
+                     if wt != 0], code.n)
 
 
-def build_full_hamiltonian(code: SubsystemCode, w: WeightSpec) -> FullHamiltonian:
-    return FullHamiltonian(code, w)
-
-
-def full_ground_energy(op: FullHamiltonian) -> float:
+def full_ground_energy(op: PauliSum) -> float:
     """Lowest eigenvalue: dense solve up to DENSE_THRESHOLD, otherwise an
     iterative extremal (Lanczos-type) solve with a deterministic start."""
     dim = op.shape[0]

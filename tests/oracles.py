@@ -9,8 +9,6 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 
-from gaugeforge.spectra import FullHamiltonian, z_signs
-
 
 def analytic_oracle_412(lam1, lam2, eta1, eta2, sector) -> np.ndarray:
     """Sector eigenvalues of the 4-qubit code: +/- sqrt((l1+x l2)^2 + (e1+z e2)^2)."""
@@ -36,21 +34,24 @@ def analytic_oracle_622(lam, eta, sector) -> np.ndarray:
     return np.sort(np.array(vals, dtype=float))
 
 
-def full_spectrum(op: FullHamiltonian) -> np.ndarray:
+def full_spectrum(op) -> np.ndarray:
     return np.linalg.eigvalsh(op.dense())
 
 
 def scatter_matvec(code, w, v: np.ndarray) -> np.ndarray:
     """-sum_G w_G (G v) for pure-type gauge generators, one fancy-index
     scatter per nonzero weight in generator order:
-    out[i ^ x] += (-w sign) * ((-1)^{|i & z|} v[i]).  Every output entry gets
-    the same products in the same order as ``FullHamiltonian.matvec``, so the
-    two must agree bit for bit."""
+    out[i ^ x] += (-w sign) * ((-1)^{|i & z|} v[i]), the sign taken as the
+    product of 1 - 2 i_q over the qubits q of z.  Every output entry gets the
+    same products in the same order as the ``PauliSum`` matvec, so the two
+    must agree bit for bit."""
     idx = np.arange(v.size)
     out = np.zeros(v.size)
     for g, wt in zip(code.gauge_generators, w.for_code(code)):
         if wt != 0:
-            out[idx ^ g.x] += -wt * g.sign * (z_signs(g.z, code.n) * v)
+            signs = np.prod([1 - 2 * (idx >> q & 1) for q in range(code.n) if g.z >> q & 1],
+                            axis=0)
+            out[idx ^ g.x] += -wt * g.sign * (signs * v)
     return out
 
 

@@ -17,12 +17,13 @@ from gaugeforge.cli import main
 M412 = "1 1\n1 1\n"
 M622 = "1 1 0\n0 1 1\n1 0 1\n"
 M55 = "0 1 0 1 1\n1 0 1 0 1\n0 1 0 1 1\n1 0 1 0 1\n1 1 1 1 0\n"
+M11 = "1 1\n"  # no auxiliary qubits: each sector matrix is 1 x 1
 
 
 @pytest.fixture
 def matrices(tmp_path):
     paths = {}
-    for name, text in (("m412", M412), ("m622", M622), ("m55", M55)):
+    for name, text in (("m412", M412), ("m622", M622), ("m55", M55), ("m11", M11)):
         p = tmp_path / f"{name}.txt"
         p.write_text(text)
         paths[name] = str(p)
@@ -182,6 +183,8 @@ def test_exit_code_2_for_input_errors(capsys, tmp_path):
                  id="config-samples-fraction"),
     pytest.param({"cfg.json": {"t-max": "x"}},
                  ["--config", "{tmp}/cfg.json", "simulate", "m412"], id="config-t-max"),
+    pytest.param({"cfg.json": {"t-max": True}},
+                 ["--config", "{tmp}/cfg.json", "simulate", "m412"], id="config-t-max-bool"),
     pytest.param({"cfg.json": {"bath": 5}},
                  ["--config", "{tmp}/cfg.json", "simulate", "m412"], id="config-bath"),
     pytest.param({}, ["simulate", "m412", "--bath", "chi=abc"], id="bath-value"),
@@ -214,6 +217,16 @@ def test_exit_code_2_for_oversized_matrix(capsys, tmp_path, command, text, messa
     code, out, err = run(capsys, *command, str(m))
     assert code == 2 and out == ""
     assert err.startswith("error:") and err.count("\n") == 1 and message in err
+
+
+def test_full_check_refuses_oversized_code(capsys, tmp_path):
+    # the 11 x 11 identity plus its superdiagonal: 21 qubits, one past the full-space limit
+    m = tmp_path / "m21.txt"
+    m.write_text("".join(" ".join("1" if c - r in (0, 1) else "0" for c in range(11)) + "\n"
+                         for r in range(11)))
+    code, out, err = run(capsys, "spectrum", str(m), "--full-check")
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1 and "n <= 20" in err
 
 
 def test_exit_code_1_for_verification_failure(capsys, monkeypatch, tmp_path):
@@ -300,6 +313,9 @@ GOLDEN_REPORTS = {
     ("spectrum", "m55"): "74b6dd61bde705c57db84fa2b1685381f011df69e4a99cbc4e35111f11227b6c",
     ("spectrum", "m55", "--full-check"):
         "94764157fd6107be8e0af883fa255555540313b11f0cf7a3c052f43c5e8ad6e7",
+    ("spectrum", "m11"): "80226034307ea19fd0f448d7c66edcc2e2db16484cc70614a60d0203a269ab79",
+    ("spectrum", "m11", "--full-check"):
+        "d010a25c7bac8ed8867b07ff80866197c65f756d7d2570607ce0d022c3fd40a2",
     ("simulate", "m412", "--initial", "plusL", "--gamma", "0.8,1.2", "--t-max", "2e-8",
      "--samples", "6"): "48f1607ccf5df779bf6f6825088b8393d20280607a1d6ba776977bd068b9aa89",
 }

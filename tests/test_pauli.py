@@ -21,6 +21,7 @@ from gaugeforge.pauli import (
     gf2_solve,
     pauli_from_string,
 )
+from gaugeforge.spectra import PauliSum
 
 I2 = np.eye(2)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -67,6 +68,25 @@ def test_multiplication_matches_dense_oracle(ops):
     a, b = ops
     assert np.array_equal(pauli_matrix(a * b), dense(a) @ dense(b))
     assert np.array_equal(pauli_matrix(a) @ pauli_matrix(b), dense(a) @ dense(b))
+
+
+@given(pauli_ops(5), st.lists(st.complex_numbers(max_magnitude=3.0), min_size=5, max_size=5),
+       st.integers(0, 2**32 - 1))
+def test_pauli_sum_matches_dense_oracle(ops, coeffs, seed):
+    # every phase and Y appear among the drawn operators
+    n = ops[0].n
+    psum = PauliSum(list(zip(coeffs, ops)), n, complex)
+    want = sum(c * dense(p) for c, p in zip(coeffs, ops))
+    assert np.allclose(psum.dense(), want, rtol=0, atol=1e-12)
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
+    assert np.abs(psum.matvec(v) - psum.dense() @ v).max() <= 1e-12
+    # the real sum of the Hermitian terms with even raw phase is the same matrix
+    real = [(c.real, p) for c, p in zip(coeffs, ops)
+            if p.is_hermitian and (p.phase + (p.x & p.z).bit_count()) % 2 == 0]
+    want = sum((c * dense(p) for c, p in real), np.zeros((1 << n, 1 << n)))
+    assert np.array_equal(PauliSum(real, n).dense(), want.real)
+    assert np.abs(want.imag).max() == 0
 
 
 @given(pauli_ops(3, max_n=8))

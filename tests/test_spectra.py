@@ -163,6 +163,14 @@ def test_full_hamiltonian_rejects_imaginary_raw_phase():
         build_full_hamiltonian(bad, WeightSpec.uniform(1.0, 4))
 
 
+def test_full_hamiltonian_rejects_non_hermitian_generator():
+    code, _ = make(M412)
+    # i Y has an even raw phase (X Z up to a sign), so only the Hermiticity check refuses it
+    bad = dataclasses.replace(code, x_gauge=(PauliOp(4, 1, 1, 1),) + code.x_gauge[1:])
+    with pytest.raises(SpectraError, match="only Hermitian terms"):
+        build_full_hamiltonian(bad, WeightSpec.uniform(1.0, 4))
+
+
 def test_code_sector_is_global_minimum_for_benchmarks():
     for M in (M412, M622):
         code, rb = make(M)
@@ -202,8 +210,8 @@ def test_all_pairs_convention_changes_energy_not_code():
 
 def test_sector_spectrum_rejects_non_symmetric_matrix(monkeypatch):
     code, rb = make(M412)
-    monkeypatch.setattr(spectra, "_sector_matrix",
-                        lambda terms, sector, a: np.array([[0.0, 1.0], [0.0, 0.0]]))
+    monkeypatch.setattr(spectra.PauliSum, "dense",
+                        lambda self, scale=None: np.array([[0.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(SpectraError, match="not symmetric"):
         energy_separation(code, rb, WeightSpec.uniform(1.0, 4))
 
