@@ -4,7 +4,6 @@ energy separations and open-system simulation of encoded states."""
 from __future__ import annotations
 
 from .codes import (
-    BlockLayout,
     CodeMatrix,
     SubsystemCode,
     build_code,
@@ -13,6 +12,7 @@ from .codes import (
     encode_ising,
     encode_operator,
     load_code_matrix,
+    logical_operator,
 )
 from .extraction import (
     ExtractionError,
@@ -55,7 +55,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BathSpec",
-    "BlockLayout",
     "CodeMatrix",
     "DaviesGenerator",
     "ExtractionError",
@@ -85,6 +84,7 @@ __all__ = [
     "extract_reduced_basis",
     "full_ground_energy",
     "load_code_matrix",
+    "logical_operator",
     "pauli_from_string",
     "purity",
     "simulate_code",

@@ -15,8 +15,8 @@ import sys
 import numpy as np
 
 from . import codes, extraction, opensys, spectra
-from .codes import BlockLayout, CodeMatrix, build_code, combined_matrix
-from .pauli import PauliError
+from .codes import CodeMatrix, build_code, combined_matrix
+from .pauli import PauliError, gf2_rank
 
 EXIT_OK = 0
 EXIT_COMPUTE = 1
@@ -174,6 +174,10 @@ def cmd_spectrum(args, cfg) -> int:
     cm, digest = _read_matrix(args.matrix)
     code = build_code(cm, all_pairs=args.all_pairs)
     w = _parse_weights(args.weights, code)
+    try:  # a code past the full-space limit is refused before any sector work
+        full = spectra.build_full_hamiltonian(code, w) if args.full_check else None
+    except spectra.SpectraError as exc:
+        raise ComputeError(str(exc)) from exc
     if args.basis:
         try:
             with open(args.basis) as f:
@@ -191,6 +195,7 @@ def cmd_spectrum(args, cfg) -> int:
             raise ComputeError(f"extraction failed: {exc}") from exc
     try:
         sep = spectra.energy_separation(code, rb, w)
+        e_full = None if full is None else spectra.full_ground_energy(full)
     except spectra.SpectraError as exc:
         raise ComputeError(str(exc)) from exc
     report = sep.to_dict()
@@ -202,11 +207,7 @@ def cmd_spectrum(args, cfg) -> int:
         "basis": args.basis,
     }
     report["matrix_sha256"] = digest
-    if args.full_check:
-        try:
-            e_full = spectra.full_ground_energy(spectra.build_full_hamiltonian(code, w))
-        except spectra.SpectraError as exc:  # too many qubits or no convergence
-            raise ComputeError(str(exc)) from exc
+    if full is not None:
         report["full_ground_energy"] = e_full
     _emit(report, args.out)
     if args.sector_table:
@@ -302,24 +303,36 @@ def cmd_encode_count(args, cfg) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         raise InputError(f"cannot load problem file {args.problem}: {exc}") from exc
     try:
-        blocks = tuple(
-            build_code(CodeMatrix.from_matrix(m)) for m in prob["blocks"]
-        )
-        layout = BlockLayout(blocks=blocks)
+        blocks = [CodeMatrix.from_matrix(m) for m in prob["blocks"]]
+        cm = combined_matrix(blocks)
+        codes.check_size(cm)
         h = {int(q) - 1: float(v) for q, v in prob.get("h", {}).items()}
         J = {}
         for key, v in prob.get("J", {}).items():
             a, b = key.split(",")
             J[(int(a) - 1, int(b) - 1)] = float(v)
-        assignment = {int(q) - 1: (int(b), int(s))
-                      for q, (b, s) in prob["assignment"].items()}
-        transverse = bool(prob.get("transverse", True))
+        ks = [gf2_rank(b.row_masks) for b in blocks]
+        assignment = {}
+        for q, (b, s) in prob["assignment"].items():
+            q, b, s = int(q) - 1, int(b), int(s)
+            if q < 0 or not (0 <= b < len(ks) and 0 <= s < ks[b]):
+                raise InputError(f"assignment {q + 1}: [{b}, {s}] on blocks with k = {ks} "
+                                 "(logical qubits count from 1, blocks and slots from 0)")
+            assignment[q] = sum(ks[:b]) + s  # slot s of block b on the composite
     except (KeyError, TypeError, ValueError, AttributeError, codes.CodeError) as exc:
-        raise InputError(f"malformed problem file: {exc}") from exc
-    try:
-        terms, counts = codes.encode_ising(h, J, assignment, layout, transverse=transverse)
-    except codes.CodeError as exc:
-        raise ComputeError(str(exc)) from exc
+        raise InputError(f"bad problem file {args.problem}: {exc}") from exc
+    if len(set(assignment.values())) < len(assignment):
+        raise InputError("two logical qubits are assigned to one [block, slot]")
+    named = set(h).union(*J)
+    if not named <= set(assignment):
+        raise InputError(f"h or J names logical qubit {min(named - set(assignment)) + 1}, "
+                         "which has no assignment")
+    if any(a == b for a, b in J):
+        raise InputError("J couples a logical qubit to itself")
+    transverse = prob.get("transverse", True)
+    if not isinstance(transverse, bool):
+        raise InputError(f"transverse must be true or false, got {transverse!r}")
+    terms, counts = codes.encode_ising(h, J, assignment, build_code(cm), transverse=transverse)
     report = {
         "num_terms": len(terms),
         "weight_histogram": {str(w): c for w, c in sorted(counts.items())},

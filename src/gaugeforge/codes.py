@@ -9,7 +9,7 @@ gauge group.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -302,48 +302,13 @@ def _logical_operators(cm, k, x_gauge, z_gauge):
 
 
 # ---------------------------------------------------------------------------
-# Logical-operator encoding across blocks
+# Logical operators and the encoding of logical Hamiltonians
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BlockLayout:
-    """Several code blocks laid out on one physical register."""
-
-    blocks: tuple[SubsystemCode, ...]
-    offsets: tuple[int, ...] = field(default=())
-
-    def __post_init__(self):
-        if not self.offsets:
-            offs = []
-            total = 0
-            for b in self.blocks:
-                offs.append(total)
-                total += b.n
-            object.__setattr__(self, "offsets", tuple(offs))
-
-    @property
-    def n(self) -> int:
-        return self.offsets[-1] + self.blocks[-1].n
-
-    def embed(self, block_index: int, op: PauliOp) -> PauliOp:
-        off = self.offsets[block_index]
-        return PauliOp(self.n, op.x << off, op.z << off, op.phase)
-
-    def stabilizer_group(self) -> list[PauliOp]:
-        """All products of block stabilizer generators (small codes only)."""
-        gens = [
-            self.embed(bi, s)
-            for bi, b in enumerate(self.blocks)
-            for s in b.stabilizer_generators
-        ]
-        group = [PauliOp.identity(self.n)]
-        for g in gens:
-            group += [h * g for h in group]
-        return group
-
-
 def combined_matrix(matrices: list[CodeMatrix]) -> CodeMatrix:
-    """Block-diagonal code matrix hosting several independent blocks."""
+    """Block-diagonal code matrix hosting several independent blocks.  Its
+    code's generators and logical pairs are those of the blocks, in block
+    order, each shifted by the qubit count of the blocks before it."""
     rows = sum(m.shape[0] for m in matrices)
     cols = sum(m.shape[1] for m in matrices)
     M = np.zeros((rows, cols), dtype=np.uint8)
@@ -355,58 +320,52 @@ def combined_matrix(matrices: list[CodeMatrix]) -> CodeMatrix:
     return CodeMatrix.from_matrix(M)
 
 
-def _logical_factor(code: SubsystemCode, slot: int, letter: str) -> PauliOp:
-    if not 0 <= slot < code.k:
-        raise CodeError(f"slot {slot} out of range for block with k={code.k}")
-    xop, zop = code.logical_pairs[slot]
-    if letter == "X":
-        return xop
-    if letter == "Z":
-        return zop
-    # Y = i X Z, Hermitian since the pair anticommutes
-    prod = xop * zop
-    return PauliOp(prod.n, prod.x, prod.z, (prod.phase + 1) % 4)
+def logical_operator(code: SubsystemCode, word: PauliOp) -> PauliOp:
+    """The encoded form of the k-qubit ``word`` = i^r X^x Z^z (r its raw
+    phase): i^r times the logical X of every qubit in x, then the logical Z of
+    every qubit in z.  Exact, as the logical pairs are canonical."""
+    if word.n != code.k:
+        raise CodeError(f"word on {word.n} qubits, but the code has k={code.k}")
+    xs = zs = 0
+    for i, (lx, lz) in enumerate(code.logical_pairs):
+        xs ^= lx.x if word.x >> i & 1 else 0
+        zs ^= lz.z if word.z >> i & 1 else 0
+    n = code.n
+    return PauliOp(n, 0, 0, word._raw_phase()) * PauliOp(n, xs, 0, 0) * PauliOp(n, 0, zs, 0)
 
 
 def encode_operator(
     logical_term: str,
-    assignment: dict[int, tuple[int, int]],
-    layout: BlockLayout,
+    assignment: dict[int, int],
+    code: SubsystemCode,
 ) -> tuple[PauliOp, int]:
     """Encode a Pauli word on logical qubits into a physical operator.
 
     ``logical_term`` uses linear labels over the logical qubits ("Z1 Z2");
-    ``assignment`` maps logical qubit (0-based) to (block index, slot).
+    ``assignment`` maps logical qubit (0-based) to a logical qubit of ``code``.
     The result is reduced to minimum weight by stabilizer multiplication,
     ties broken by smallest (x, z) bit pattern.
     """
-    n_logical = len(assignment)
-    word = pauli_from_string(logical_term, max(n_logical, 1))
-    phys = PauliOp.identity(layout.n)
-    for q in range(word.n):
-        xb = (word.x >> q) & 1
-        zb = (word.z >> q) & 1
-        if not (xb or zb):
-            continue
-        if q not in assignment:
-            raise CodeError(f"logical qubit {q + 1} not covered by the assignment")
-        block, slot = assignment[q]
-        letter = {(1, 0): "X", (0, 1): "Z", (1, 1): "Y"}[(xb, zb)]
-        phys = phys * layout.embed(block, _logical_factor(layout.blocks[block], slot, letter))
-    if word.phase:
-        phys = phys * PauliOp(layout.n, 0, 0, word.phase)
-    best = min(
-        (s * phys for s in layout.stabilizer_group()),
-        key=lambda p: (p.weight, p.x, p.z),
-    )
+    targets = set(assignment.values())
+    if len(targets) < len(assignment) or not targets <= set(range(code.k)):
+        raise CodeError(f"assignment is not one-to-one into the k={code.k} logical qubits")
+    word = pauli_from_string(logical_term, max(assignment, default=0) + 1)
+    if (word.x | word.z) & ~sum(1 << q for q in assignment):
+        raise CodeError(f"{logical_term!r} acts on a logical qubit outside the assignment")
+    x = sum((word.x >> q & 1) << t for q, t in assignment.items())
+    z = sum((word.z >> q & 1) << t for q, t in assignment.items())
+    group = [logical_operator(code, PauliOp(code.k, x, z, word.phase))]
+    for s in code.stabilizer_generators:
+        group += [s * g for g in group]
+    best = min(group, key=lambda p: (p.weight, p.x, p.z))
     return best, best.weight
 
 
 def encode_ising(
     h: dict[int, float],
     J: dict[tuple[int, int], float],
-    assignment: dict[int, tuple[int, int]],
-    layout: BlockLayout,
+    assignment: dict[int, int],
+    code: SubsystemCode,
     transverse: bool = True,
 ) -> tuple[list[dict], dict[int, int]]:
     """Encode a logical Ising + transverse-field Hamiltonian term by term.
@@ -417,16 +376,16 @@ def encode_ising(
     logical = []
     if transverse:
         for q in sorted(assignment):
-            logical.append((1.0, f"X{q + 1}", f"X{q + 1}"))
+            logical.append((1.0, f"X{q + 1}"))
     for q, hq in sorted(h.items()):
         if hq:
-            logical.append((hq, f"Z{q + 1}", f"Z{q + 1}"))
+            logical.append((hq, f"Z{q + 1}"))
     for (a, b), j in sorted(J.items()):
         if j:
-            logical.append((j, f"Z{a + 1} Z{b + 1}", f"Z{a + 1} Z{b + 1}"))
+            logical.append((j, f"Z{a + 1} Z{b + 1}"))
     counts: dict[int, int] = {}
-    for coeff, term, label in logical:
-        op, w = encode_operator(term, assignment, layout)
+    for coeff, term in logical:
+        op, w = encode_operator(term, assignment, code)
         counts[w] = counts.get(w, 0) + 1
-        terms.append({"logical": label, "coefficient": coeff, "physical": op, "weight": w})
+        terms.append({"logical": term, "coefficient": coeff, "physical": op, "weight": w})
     return terms, counts

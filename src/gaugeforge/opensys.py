@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .codes import SubsystemCode, _logical_factor
+from .codes import SubsystemCode, logical_operator
 from .pauli import PauliOp
 from .spectra import PauliSum, WeightSpec, build_full_hamiltonian
 
@@ -322,12 +322,9 @@ def _word_operators(code: SubsystemCode):
     """For each logical Pauli word, in IXYZ^k order, the dense bare k-qubit
     matrix and the dense encoded 2^n matrix."""
     for word in itertools.product("IXYZ", repeat=code.k):
-        bare, enc = PauliOp.identity(code.k), PauliOp.identity(code.n)
-        for i, letter in enumerate(word):
-            if letter != "I":
-                bare = bare * PauliOp.single(code.k, letter, i)
-                enc = enc * _logical_factor(code, i, letter)
-        yield pauli_matrix(bare), pauli_matrix(enc)
+        bare = PauliOp(code.k, sum(1 << i for i, c in enumerate(word) if c in "XY"),
+                       sum(1 << i for i, c in enumerate(word) if c in "YZ"), 0)
+        yield pauli_matrix(bare), pauli_matrix(logical_operator(code, bare))
 
 
 def code_sector_projector(code: SubsystemCode) -> np.ndarray:

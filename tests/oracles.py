@@ -1,13 +1,16 @@
 """Independent reference values that only the tests use: closed-form sector
 spectra of the two small benchmark codes, the dense full spectrum, the
-full-space product as per-term scatters, the Gibbs state, the sparse kron-sum
-Liouvillian and exact Lindblad propagators."""
+full-space product as per-term scatters, encoded logical words as letter
+products, the Gibbs state, the sparse kron-sum Liouvillian and exact Lindblad
+propagators."""
 
 from __future__ import annotations
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
+
+from gaugeforge.pauli import PauliOp
 
 
 def analytic_oracle_412(lam1, lam2, eta1, eta2, sector) -> np.ndarray:
@@ -53,6 +56,20 @@ def scatter_matvec(code, w, v: np.ndarray) -> np.ndarray:
                             axis=0)
             out[idx ^ g.x] += -wt * g.sign * (signs * v)
     return out
+
+
+def letter_logical_operator(code, word):
+    """The encoded ``word``, letter by letter: the word's phase times, qubit by
+    qubit, the logical X, the logical Z or Y = i X Z of the letter there."""
+    enc = PauliOp(code.n, 0, 0, word.phase)
+    for i, (lx, lz) in enumerate(code.logical_pairs):
+        xb, zb = word.x >> i & 1, word.z >> i & 1
+        if xb and zb:
+            prod = lx * lz
+            enc = enc * PauliOp(prod.n, prod.x, prod.z, (prod.phase + 1) % 4)
+        elif xb or zb:
+            enc = enc * (lx if xb else lz)
+    return enc
 
 
 def gibbs_state(H: np.ndarray, omega_T: float) -> np.ndarray:

@@ -194,6 +194,29 @@ def test_exit_code_2_for_input_errors(capsys, tmp_path):
                  id="weights-file"),
     pytest.param({"prob.json": {"blocks": [[[1, 1], [1, 1]]], "assignment": [1]}},
                  ["encode-count", "{tmp}/prob.json"], id="encode-count-assignment"),
+    pytest.param({"prob.json": {"blocks": [[[1, 1], [1, 1]]], "assignment": {"1": [1, 0]}}},
+                 ["encode-count", "{tmp}/prob.json"], id="encode-count-block-index"),
+    pytest.param({"prob.json": {"blocks": [[[1, 1], [1, 1]]], "assignment": {"1": [0, 1]}}},
+                 ["encode-count", "{tmp}/prob.json"], id="encode-count-slot"),
+    pytest.param({"prob.json": {"blocks": [[[1, 1], [1, 1]]],
+                                "assignment": {"1": [0, 0], "2": [0, 0]}}},
+                 ["encode-count", "{tmp}/prob.json"], id="encode-count-shared-slot"),
+    pytest.param({"prob.json": {"blocks": [[[1, 1], [1, 1]]], "h": {"3": 1},
+                                "assignment": {"1": [0, 0]}}},
+                 ["encode-count", "{tmp}/prob.json"], id="encode-count-h-unassigned"),
+    pytest.param({"prob.json": {"blocks": [[[1, 1], [1, 1]]], "J": {"1,2": 1},
+                                "assignment": {"1": [0, 0]}}},
+                 ["encode-count", "{tmp}/prob.json"], id="encode-count-J-unassigned"),
+    pytest.param({"prob.json": {"blocks": [[[1, 1], [1, 1]]], "J": {"1,1": 1},
+                                "assignment": {"1": [0, 0]}}},
+                 ["encode-count", "{tmp}/prob.json"], id="encode-count-J-self"),
+    pytest.param({"prob.json": {"blocks": [[[1, 1], [1, 1]]], "transverse": "false",
+                                "assignment": {"1": [0, 0]}}},
+                 ["encode-count", "{tmp}/prob.json"], id="encode-count-transverse"),
+    pytest.param({"prob.json": {"blocks": [[[1]]] * 21, "assignment": {"1": [0, 0]}}},
+                 ["encode-count", "{tmp}/prob.json"], id="encode-count-21-rows"),
+    pytest.param({"prob.json": {"blocks": [[[1] * 6] * 6] * 2, "assignment": {"1": [0, 0]}}},
+                 ["encode-count", "{tmp}/prob.json"], id="encode-count-72-qubits"),
     pytest.param({"basis.json": {"x_stabilizers": [], "z_stabilizers": [],
                                  "aux_pairs": [["X[1,1] X[1,2]"]]}},
                  ["spectrum", "m412", "--basis", "{tmp}/basis.json"], id="basis-aux-pair"),
@@ -219,7 +242,13 @@ def test_exit_code_2_for_oversized_matrix(capsys, tmp_path, command, text, messa
     assert err.startswith("error:") and err.count("\n") == 1 and message in err
 
 
-def test_full_check_refuses_oversized_code(capsys, tmp_path):
+def test_full_check_refuses_oversized_code(capsys, monkeypatch, tmp_path):
+    import gaugeforge.cli as cli_mod
+
+    def no_sectors(*args, **kwargs):
+        raise AssertionError("sector solves started before the full-space size check")
+
+    monkeypatch.setattr(cli_mod.spectra, "energy_separation", no_sectors)
     # the 11 x 11 identity plus its superdiagonal: 21 qubits, one past the full-space limit
     m = tmp_path / "m21.txt"
     m.write_text("".join(" ".join("1" if c - r in (0, 1) else "0" for c in range(11)) + "\n"
@@ -318,6 +347,27 @@ GOLDEN_REPORTS = {
         "d010a25c7bac8ed8867b07ff80866197c65f756d7d2570607ce0d022c3fd40a2",
     ("simulate", "m412", "--initial", "plusL", "--gamma", "0.8,1.2", "--t-max", "2e-8",
      "--samples", "6"): "48f1607ccf5df779bf6f6825088b8393d20280607a1d6ba776977bd068b9aa89",
+    ("encode-count", "two-m622"): "eaa285e3631a717bd34e65fb5571b0f94b6124735cb8439a0614c448fa642c4f",
+    ("encode-count", "three-blocks"):
+        "95e4221a185c3cf9eca676b511582fbe340e8675e3442336294b57d8c607ab42",
+}
+
+# Problem files of the ``encode-count`` digests: the benchmark's two-block
+# problem, and three different blocks without the transverse field.
+PROBLEMS = {
+    "two-m622": {
+        "blocks": [[[1, 1, 0], [0, 1, 1], [1, 0, 1]], [[1, 1, 0], [0, 1, 1], [1, 0, 1]]],
+        "h": {"1": 1.0, "2": 1.0, "3": 1.0, "4": 1.0},
+        "J": {"1,2": 1.0, "3,4": 1.0, "2,3": 1.0},
+        "assignment": {"1": [0, 0], "2": [0, 1], "3": [1, 0], "4": [1, 1]},
+    },
+    "three-blocks": {
+        "blocks": [[[1, 1], [1, 1]], [[1, 1, 0], [0, 1, 1], [1, 0, 1]], [[1, 1, 1], [1, 1, 1]]],
+        "h": {"1": 1.0, "2": -0.5, "3": 0.25, "4": 2.0},
+        "J": {"1,2": 1.0, "2,3": -1.0, "3,4": 0.5, "1,4": 0.75, "2,4": 1.5},
+        "assignment": {"1": [0, 0], "2": [1, 0], "3": [1, 1], "4": [2, 0]},
+        "transverse": False,
+    },
 }
 
 REPORT_DIGESTS = """
@@ -338,8 +388,12 @@ for argv in json.loads(sys.argv[1]):
 """
 
 
-def test_reports_match_golden_digests(matrices):
-    argvs = [[matrices.get(arg, arg) for arg in key] for key in GOLDEN_REPORTS]
+def test_reports_match_golden_digests(matrices, tmp_path):
+    paths = dict(matrices)
+    for name, problem in PROBLEMS.items():
+        paths[name] = str(tmp_path / f"{name}.json")
+        Path(paths[name]).write_text(json.dumps(problem))
+    argvs = [[paths.get(arg, arg) for arg in key] for key in GOLDEN_REPORTS]
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     src = str(Path(gaugeforge.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))

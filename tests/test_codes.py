@@ -6,9 +6,11 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from gaugeforge.codes import (
-    BlockLayout,
+    CodeError,
     CodeFormatError,
     CodeMatrix,
     DistanceSizeError,
@@ -18,8 +20,10 @@ from gaugeforge.codes import (
     encode_ising,
     encode_operator,
     load_code_matrix,
+    logical_operator,
 )
-from gaugeforge.pauli import express_in_basis
+from gaugeforge.pauli import PauliOp, express_in_basis
+from tests.oracles import letter_logical_operator
 
 M412 = [[1, 1], [1, 1]]
 M622 = [[1, 1, 0], [0, 1, 1], [1, 0, 1]]
@@ -173,6 +177,55 @@ def test_combined_matrix_is_block_diagonal():
     assert (code.n, code.k, code.d) == (8, 2, 2)
 
 
+@st.composite
+def code_matrices(draw, max_rows=3, max_cols=4):
+    """Binary matrices without zero rows or columns; k <= max_rows."""
+    r, c = draw(st.integers(1, max_rows)), draw(st.integers(1, max_cols))
+    M = np.array(draw(st.lists(st.integers(0, 1), min_size=r * c, max_size=r * c))).reshape(r, c)
+    assume(M.any(axis=0).all() and M.any(axis=1).all())
+    return CodeMatrix.from_matrix(M)
+
+
+@settings(deadline=None)
+@given(st.lists(code_matrices(), min_size=1, max_size=3))
+def test_composite_code_is_the_shifted_blocks(cms):
+    comp = build_code(combined_matrix(cms))
+    blocks = [build_code(cm) for cm in cms]
+    offsets = np.cumsum([0] + [b.n for b in blocks]).tolist()
+
+    def shifted(attr):
+        return tuple(PauliOp(comp.n, op.x << off, op.z << off, op.phase)
+                     for b, off in zip(blocks, offsets) for op in getattr(b, attr))
+
+    for attr in ("x_gauge", "z_gauge", "x_stabilizers", "z_stabilizers"):
+        assert getattr(comp, attr) == shifted(attr)
+    xs = [PauliOp(comp.n, lx.x << off, 0, 0) for b, off in zip(blocks, offsets)
+          for lx, _ in b.logical_pairs]
+    zs = [PauliOp(comp.n, 0, lz.z << off, 0) for b, off in zip(blocks, offsets)
+          for _, lz in b.logical_pairs]
+    assert comp.logical_pairs == tuple(zip(xs, zs))
+
+
+def all_words(k):
+    return [PauliOp(k, x, z, p) for x in range(1 << k) for z in range(1 << k) for p in range(4)]
+
+
+@settings(deadline=None, max_examples=50)
+@given(code_matrices())
+def test_logical_operator_matches_letter_products(cm):
+    code = build_code(cm)
+    for word in all_words(code.k):
+        assert logical_operator(code, word) == letter_logical_operator(code, word)
+
+
+@settings(deadline=None)
+@given(code_matrices(), st.data())
+def test_logical_operator_is_a_homomorphism(cm, data):
+    code = build_code(cm)
+    a, b = (data.draw(st.sampled_from(all_words(code.k))) for _ in range(2))
+    assert logical_operator(code, a * b) == logical_operator(code, a) * logical_operator(code, b)
+
+
 def test_to_report_shape():
     rep = build_code(CodeMatrix.from_matrix(M622)).to_report()
     assert rep["n"] == 6 and rep["k"] == 2 and rep["d"] == 2
@@ -190,32 +243,34 @@ def test_one_by_one_matrix():
 # Logical operator encoding and locality accounting
 # ---------------------------------------------------------------------------
 
+def two_m622_blocks():
+    cm = CodeMatrix.from_matrix(M622)
+    return build_code(combined_matrix([cm, cm]))
+
+
 def test_intra_block_couplings_stay_two_local():
     block = build_code(CodeMatrix.from_matrix(M622))
-    layout = BlockLayout(blocks=(block,))
-    assignment = {0: (0, 0), 1: (0, 1)}
+    assignment = {0: 0, 1: 1}
     for term in ("X1", "Z1", "X2", "Z2", "Z1 Z2", "X1 X2"):
-        _, w = encode_operator(term, assignment, layout)
+        _, w = encode_operator(term, assignment, block)
         assert w <= 2, f"{term} has weight {w}"
 
 
 def test_cross_block_couplings_are_four_local():
-    block = build_code(CodeMatrix.from_matrix(M622))
-    layout = BlockLayout(blocks=(block, block))
-    assignment = {0: (0, 0), 1: (1, 0)}
-    _, w = encode_operator("Z1 Z2", assignment, layout)
+    code = two_m622_blocks()
+    assignment = {0: 0, 1: 2}  # slot 0 of each block
+    _, w = encode_operator("Z1 Z2", assignment, code)
     assert w == 4
-    _, w = encode_operator("X1 X2", assignment, layout)
+    _, w = encode_operator("X1 X2", assignment, code)
     assert w == 4
 
 
 def test_encode_ising_histogram_deterministic():
-    block = build_code(CodeMatrix.from_matrix(M622))
-    layout = BlockLayout(blocks=(block, block))
-    assignment = {0: (0, 0), 1: (0, 1), 2: (1, 0), 3: (1, 1)}
+    code = two_m622_blocks()
+    assignment = {0: 0, 1: 1, 2: 2, 3: 3}
     h = {0: 1.0, 1: 0.5, 2: -0.2, 3: 0.1}
     J = {(0, 1): 1.0, (2, 3): 1.0, (1, 2): 1.0}
-    runs = [encode_ising(h, J, assignment, layout) for _ in range(2)]
+    runs = [encode_ising(h, J, assignment, code) for _ in range(2)]
     assert runs[0][1] == runs[1][1]
     counts = runs[0][1]
     # 4 transverse + 4 fields + 2 intra-block couplings are weight <= 2,
@@ -226,10 +281,18 @@ def test_encode_ising_histogram_deterministic():
 
 
 def test_encoded_operators_commute_with_gauge():
-    block = build_code(CodeMatrix.from_matrix(M622))
-    layout = BlockLayout(blocks=(block, block))
-    assignment = {0: (0, 0), 1: (1, 1)}
-    op, _ = encode_operator("Z1 Z2", assignment, layout)
-    for bi, b in enumerate(layout.blocks):
-        for g in b.gauge_generators:
-            assert op.commutes(layout.embed(bi, g))
+    code = two_m622_blocks()
+    assignment = {0: 0, 1: 3}  # slot 0 of block 0, slot 1 of block 1
+    op, _ = encode_operator("Z1 Z2", assignment, code)
+    for g in code.gauge_generators:
+        assert op.commutes(g)
+
+
+@pytest.mark.parametrize("term, assignment", [
+    ("Z1", {0: 0, 1: 0}),  # two logical qubits on one logical qubit of the code
+    ("Z1", {0: 4}),        # past the composite's k = 4
+    ("Z2", {0: 0, 2: 1}),  # logical qubit 2 has no assignment
+])
+def test_encode_operator_rejects_bad_assignments(term, assignment):
+    with pytest.raises(CodeError):
+        encode_operator(term, assignment, two_m622_blocks())
