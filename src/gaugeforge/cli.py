@@ -321,6 +321,8 @@ def cmd_encode_count(args, cfg) -> int:
             assignment[q] = sum(ks[:b]) + s  # slot s of block b on the composite
     except (KeyError, TypeError, ValueError, AttributeError, codes.CodeError) as exc:
         raise InputError(f"bad problem file {args.problem}: {exc}") from exc
+    if not np.isfinite([*h.values(), *J.values()]).all():
+        raise InputError("h and J values must be finite")
     if len(set(assignment.values())) < len(assignment):
         raise InputError("two logical qubits are assigned to one [block, slot]")
     named = set(h).union(*J)

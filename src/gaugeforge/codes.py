@@ -9,6 +9,7 @@ gauge group.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -148,22 +149,21 @@ def check_size(cm: CodeMatrix):
         )
 
 
+def _gray_walk(start: int, masks):
+    """``start`` XOR each subset of ``masks``, with the subset as a bit mask, in
+    Gray-code order: step g flips the mask at the lowest set bit of g, one XOR."""
+    acc = start
+    for g in range(1 << len(masks)):
+        acc ^= masks[(g & -g).bit_length() - 1] if g else 0
+        yield acc, g ^ (g >> 1)
+
+
 def distance(cm: CodeMatrix) -> int:
     """Minimum distance: least Hamming weight over all nonzero GF(2)
     combinations of rows and of columns, by exhaustive enumeration."""
     check_size(cm)
-    best = cm.n
-    for masks in (cm.row_masks, cm.col_masks):
-        acc = 0
-        prev = 0
-        # Gray-code enumeration: one XOR per combination
-        for g in range(1, 1 << len(masks)):
-            gray = g ^ (g >> 1)
-            acc ^= masks[(prev ^ gray).bit_length() - 1]
-            prev = gray
-            if acc:
-                best = min(best, acc.bit_count())
-    return best
+    return min(acc.bit_count() for masks in (cm.row_masks, cm.col_masks)
+               for acc, _ in _gray_walk(0, masks) if acc)
 
 
 @dataclass(frozen=True)
@@ -203,26 +203,13 @@ class SubsystemCode:
 
 
 def _gauge_masks(cm: CodeMatrix, all_pairs: bool) -> tuple[list[PauliOp], list[PauliOp]]:
-    x_gauge = []
-    for i in range(cm.shape[0]):
-        qs = cm.row_qubits(i)
-        pairs = (
-            [(a, b) for ai, a in enumerate(qs) for b in qs[ai + 1:]]
-            if all_pairs
-            else list(zip(qs, qs[1:]))
-        )
-        for a, b in pairs:
-            x_gauge.append(_pauli_on(cm, "X", (a, b)))
-    z_gauge = []
-    for j in range(cm.shape[1]):
-        qs = cm.col_qubits(j)
-        pairs = (
-            [(a, b) for ai, a in enumerate(qs) for b in qs[ai + 1:]]
-            if all_pairs
-            else list(zip(qs, qs[1:]))
-        )
-        for a, b in pairs:
-            z_gauge.append(_pauli_on(cm, "Z", (a, b)))
+    """XX on qubit pairs along each row and ZZ along each column: neighbours, or all pairs."""
+    x_gauge, z_gauge = [], []
+    for gauge, letter, lines in ((x_gauge, "X", map(cm.row_qubits, range(cm.shape[0]))),
+                                 (z_gauge, "Z", map(cm.col_qubits, range(cm.shape[1])))):
+        for qs in lines:
+            for pair in itertools.combinations(qs, 2) if all_pairs else zip(qs, qs[1:]):
+                gauge.append(_pauli_on(cm, letter, pair))
     return x_gauge, z_gauge
 
 
@@ -354,11 +341,16 @@ def encode_operator(
         raise CodeError(f"{logical_term!r} acts on a logical qubit outside the assignment")
     x = sum((word.x >> q & 1) << t for q, t in assignment.items())
     z = sum((word.z >> q & 1) << t for q, t in assignment.items())
-    group = [logical_operator(code, PauliOp(code.k, x, z, word.phase))]
-    for s in code.stabilizer_generators:
-        group += [s * g for g in group]
-    best = min(group, key=lambda p: (p.weight, p.x, p.z))
-    return best, best.weight
+    op = logical_operator(code, PauliOp(code.k, x, z, word.phase))
+    # (weight, x << n | z) orders the coset totally: keep the best and its subset
+    n, stabs = code.n, code.stabilizer_generators
+    packed = [s.x << n | s.z for s in stabs]
+    _, _, subset = min((((v >> n | v) & ~(-1 << n)).bit_count(), v, subset)
+                       for v, subset in _gray_walk(op.x << n | op.z, packed))
+    for i, s in enumerate(stabs):
+        if subset >> i & 1:
+            op = s * op
+    return op, op.weight
 
 
 def encode_ising(

@@ -367,6 +367,11 @@ def encode_state(rho_L: np.ndarray, code: SubsystemCode, w: WeightSpec,
             continue
         rho += coeff * (enc @ Pg)
     rho /= 1 << k
+    return _checked_encoding(rho)
+
+
+def _checked_encoding(rho: np.ndarray) -> np.ndarray:
+    """The Hermitian part of an encoded state, checked for unit trace and positivity."""
     rho = (rho + rho.conj().T) / 2
     if abs(rho.trace().real - 1) > 1e-9:
         raise EncodingError("encoded state failed the unit-trace check")
@@ -492,30 +497,31 @@ def simulate_code(code: SubsystemCode, rho_L: np.ndarray, gamma: float,
 def simulate_two_blocks(block_code: SubsystemCode, composite_code: SubsystemCode,
                         rho_L: np.ndarray, gamma: float, bath: BathSpec,
                         t_grid, metrics: str = "logical") -> Trajectory:
-    """Two identical code blocks with independent baths.
-
-    The suppressing Hamiltonian and the couplings split across the blocks, so
-    the generator is L (x) id + id (x) L and the channel factorizes as
-    Phi_t (x) Phi_t; only the single-block propagator is ever integrated.
-    """
+    """Two identical code blocks with independent baths: the channel is
+    Phi_t (x) Phi_t, so the state is sum C[s, f] Phi_t(W_s) (x) Phi_t(W_f) over
+    the block's encoded words W_s = E_s P_g, with C[s, f] = conj tr(rho_L (B_s (x)
+    B_f)) / 4^k and block 2 slow, as in the composite's qubit order.  Only the
+    4^k words are integrated; ``composite_code`` decodes and measures leakage."""
     if composite_code.n != 2 * block_code.n or composite_code.k != 2 * block_code.k:
         raise OpenSysError("composite code is not two copies of the block code")
     _check_dense_size(composite_code, "two-block composite")
     t_grid = _time_grid(t_grid)
-    sector = code_sector_projector(composite_code)
-    rho0 = encode_state(rho_L, composite_code,
-                        _suppressing_weights(composite_code, gamma, bath), sector)
-    g = davies_generator(block_code, _suppressing_weights(block_code, gamma, bath), bath)
-    d = g.dim
-    U = np.kron(g.basis, g.basis)  # two-block eigenbasis, block 1 on the slow index
+    dim_L = 1 << composite_code.k
+    if rho_L.shape != (dim_L, dim_L):
+        raise EncodingError(f"logical state must be {dim_L}x{dim_L}")
+    w = _suppressing_weights(block_code, gamma, bath)
+    Pg = ground_projector(block_code, w, code_sector_projector(block_code))
+    bare, enc = zip(*_word_operators(block_code))
+    C = np.array([[np.trace(rho_L @ np.kron(Bs, Bf)).conjugate() for Bf in bare]
+                  for Bs in bare]) / dim_L
+    g = davies_generator(block_code, w, bath)
 
-    def regroup(rho):
-        # rho[a*d+b, c*d+e] <-> M[a*d+c, b*d+e]: block 1 lives on legs (a, c)
-        # and block 2 on legs (b, e), so Phi (x) Phi acts as M -> P M P^T
-        return rho.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
+    def pair(X):  # sum C[s, f] X_s (x) X_f
+        return sum(np.kron(Xs, Xf) for Xs, Xf in zip(X, np.tensordot(C, X, 1)))
 
-    M0 = regroup(U.conj().T @ rho0 @ U)
-    states = (U @ regroup(P @ M0 @ P.T) @ U.conj().T
-              for P in _propagate(g, np.eye(d * d, dtype=complex), t_grid))
-    return _sample(t_grid, itertools.chain([rho0], states),
-                   _metrics_fn(composite_code, rho_L, rho0, metrics, sector))
+    W = np.array(enc) @ Pg  # the block's encoded words, lab frame
+    rho0 = _checked_encoding(pair(W))
+    Y0 = g.to_eigenbasis(W).reshape(len(W), -1).T  # one row-stacked column per word
+    states = (pair(g.from_eigenbasis(Y.T.reshape(W.shape))) for Y in _propagate(g, Y0, t_grid))
+    return _sample(t_grid, itertools.chain([rho0], states), _metrics_fn(
+        composite_code, rho_L, rho0, metrics, code_sector_projector(composite_code)))

@@ -1,7 +1,7 @@
 """Independent reference values that only the tests use: closed-form sector
 spectra of the two small benchmark codes, the dense full spectrum, the
 full-space product as per-term scatters, encoded logical words as letter
-products, the Gibbs state, the sparse kron-sum Liouvillian and exact Lindblad
+products, minimum-weight encoding over the listed stabilizer group, the Gibbs state, the sparse kron-sum Liouvillian and exact Lindblad
 propagators."""
 
 from __future__ import annotations
@@ -70,6 +70,16 @@ def letter_logical_operator(code, word):
         elif xb or zb:
             enc = enc * (lx if xb else lz)
     return enc
+
+
+def listed_min_weight(op, stabilizers):
+    """The least element of the coset ``op`` times the stabilizer group under
+    (weight, x, z), from the whole group listed as products
+    s_im ... s_i1 op with i1 < ... < im."""
+    group = [op]
+    for s in stabilizers:
+        group += [s * g for g in group]
+    return min(group, key=lambda p: (p.weight, p.x, p.z))
 
 
 def gibbs_state(H: np.ndarray, omega_T: float) -> np.ndarray:

@@ -213,6 +213,12 @@ def test_exit_code_2_for_input_errors(capsys, tmp_path):
     pytest.param({"prob.json": {"blocks": [[[1, 1], [1, 1]]], "transverse": "false",
                                 "assignment": {"1": [0, 0]}}},
                  ["encode-count", "{tmp}/prob.json"], id="encode-count-transverse"),
+    pytest.param({"prob.json": {"blocks": [[[1, 1], [1, 1]]], "h": {"1": float("nan")},
+                                "assignment": {"1": [0, 0]}}},
+                 ["encode-count", "{tmp}/prob.json"], id="encode-count-h-nan"),
+    pytest.param({"prob.json": {"blocks": [[[1, 1], [1, 1]]] * 2, "J": {"1,2": float("inf")},
+                                "assignment": {"1": [0, 0], "2": [1, 0]}}},
+                 ["encode-count", "{tmp}/prob.json"], id="encode-count-J-infinity"),
     pytest.param({"prob.json": {"blocks": [[[1]]] * 21, "assignment": {"1": [0, 0]}}},
                  ["encode-count", "{tmp}/prob.json"], id="encode-count-21-rows"),
     pytest.param({"prob.json": {"blocks": [[[1] * 6] * 6] * 2, "assignment": {"1": [0, 0]}}},

@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gaugeforge.codes import (
@@ -23,7 +24,7 @@ from gaugeforge.codes import (
     logical_operator,
 )
 from gaugeforge.pauli import PauliOp, express_in_basis
-from tests.oracles import letter_logical_operator
+from tests.oracles import letter_logical_operator, listed_min_weight
 
 M412 = [[1, 1], [1, 1]]
 M622 = [[1, 1, 0], [0, 1, 1], [1, 0, 1]]
@@ -179,10 +180,14 @@ def test_combined_matrix_is_block_diagonal():
 
 @st.composite
 def code_matrices(draw, max_rows=3, max_cols=4):
-    """Binary matrices without zero rows or columns; k <= max_rows."""
+    """Binary matrices without zero rows or columns; k <= max_rows.  A zero row
+    or column gets a 1 at a drawn place, so no draw is filtered out."""
     r, c = draw(st.integers(1, max_rows)), draw(st.integers(1, max_cols))
     M = np.array(draw(st.lists(st.integers(0, 1), min_size=r * c, max_size=r * c))).reshape(r, c)
-    assume(M.any(axis=0).all() and M.any(axis=1).all())
+    for i in np.flatnonzero(~M.any(axis=1)):
+        M[i, draw(st.integers(0, c - 1))] = 1
+    for j in np.flatnonzero(~M.any(axis=0)):
+        M[draw(st.integers(0, r - 1)), j] = 1
     return CodeMatrix.from_matrix(M)
 
 
@@ -296,3 +301,35 @@ def test_encoded_operators_commute_with_gauge():
 def test_encode_operator_rejects_bad_assignments(term, assignment):
     with pytest.raises(CodeError):
         encode_operator(term, assignment, two_m622_blocks())
+
+
+@settings(deadline=None, max_examples=50)
+@given(st.lists(code_matrices(), min_size=1, max_size=2), st.data())
+def test_encode_operator_matches_listed_coset(cms, data):
+    """The Gray-code walk finds the operator the listed stabilizer group gives,
+    phase included, for any word and any permutation of the logical qubits."""
+    code = build_code(combined_matrix(cms))
+    letters = data.draw(st.lists(st.sampled_from("IXYZ"), min_size=code.k, max_size=code.k))
+    perm = data.draw(st.permutations(range(code.k)))
+    sign = data.draw(st.sampled_from(["", "- "]))
+    term = sign + (" ".join(f"{letters[t]}{q + 1}" for q, t in enumerate(perm)
+                            if letters[t] != "I") or "I")
+    word = PauliOp(code.k, sum(1 << t for t, c in enumerate(letters) if c in "XY"),
+                   sum(1 << t for t, c in enumerate(letters) if c in "YZ"), 2 if sign else 0)
+    expected = listed_min_weight(logical_operator(code, word), code.stabilizer_generators)
+    assert encode_operator(term, dict(enumerate(perm)), code) == (expected, expected.weight)
+
+
+def test_encode_operator_memory_does_not_grow_with_the_stabilizer_group():
+    """Four 3 x 3 all-ones blocks have 16 stabilizers: listing the 65,536
+    elements of the group took 11 MB, the walk keeps one element."""
+    code = build_code(combined_matrix([CodeMatrix.from_matrix(np.ones((3, 3)))] * 4))
+    assert code.num_stabilizers == 16
+    tracemalloc.start()
+    try:
+        op, w = encode_operator("Z1 Z2", {0: 0, 1: 3}, code)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert op == listed_min_weight(op, code.stabilizer_generators) and w == 6

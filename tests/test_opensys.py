@@ -392,27 +392,32 @@ def test_two_block_product_state_matches_single_block():
 
 
 def test_two_block_matches_expm_oracle(sampled_states):
+    """|0><0| (x) |+><+| and a random state are not symmetric under swapping
+    the blocks, so these states also pin which block is the slow index."""
     cm = CodeMatrix.from_matrix(M412)
     block = build_code(cm)
     comp = build_code(combined_matrix([cm, cm]))
     b = BathSpec()
     lam = 1.2 * b.omega_T
     t = np.linspace(0, 5e-10, 3)
-    simulate_two_blocks(block, comp, BELL, 1.2, b, t)
     g = davies_generator(block, WeightSpec.uniform(lam, len(block.gauge_generators)), b)
     d = g.dim
     U = np.kron(g.basis, g.basis)
-    rho0 = encode_state(BELL, comp, WeightSpec.uniform(lam, len(comp.gauge_generators)))
-    # legs: rho[a, b, c, e] with row = a*d+b and col = c*d+e, so one block
-    # lives on legs (a, c) and the other on legs (b, e)
-    T0 = (U.conj().T @ rho0 @ U).reshape(d, d, d, d)
-    assert len(sampled_states) == len(t)
-    for rho, P in zip(sampled_states, lindblad_propagators(g.jumps, d, t)):
-        P = P.reshape(d, d, d, d)  # P[r', c', r, c] on row-stacked vec
-        T = np.einsum("xyac,abce->xbye", P, T0)
-        T = np.einsum("uvbe,xbye->xuyv", P, T)
-        expected = U @ T.reshape(d * d, d * d) @ U.conj().T
-        assert np.abs(rho - expected).max() < 1e-12
+    props = [P.reshape(d, d, d, d) for P in lindblad_propagators(g.jumps, d, t)]  # P[r', c', r, c]
+    for rho_L in (BELL, np.kron(np.diag([1, 0]).astype(complex), PLUS),
+                  random_density(np.random.default_rng(5), 4)):
+        sampled_states.clear()
+        simulate_two_blocks(block, comp, rho_L, 1.2, b, t)
+        rho0 = encode_state(rho_L, comp, WeightSpec.uniform(lam, len(comp.gauge_generators)))
+        # legs: rho[a, b, c, e] with row = a*d+b and col = c*d+e, so one block
+        # lives on legs (a, c) and the other on legs (b, e)
+        T0 = (U.conj().T @ rho0 @ U).reshape(d, d, d, d)
+        assert len(sampled_states) == len(t)
+        for rho, P in zip(sampled_states, props):
+            T = np.einsum("xyac,abce->xbye", P, T0)
+            T = np.einsum("uvbe,xbye->xuyv", P, T)
+            expected = U @ T.reshape(d * d, d * d) @ U.conj().T
+            assert np.abs(rho - expected).max() < 1e-12
 
 
 def test_two_block_shape_guard():
@@ -422,6 +427,8 @@ def test_two_block_shape_guard():
         simulate_two_blocks(block, block, np.kron(PLUS, PLUS), 1.0, BathSpec(),
                             np.linspace(0, 1e-9, 2))
     comp = build_code(combined_matrix([cm, cm]))
+    with pytest.raises(EncodingError, match="logical state must be 4x4"):
+        simulate_two_blocks(block, comp, PLUS, 1.0, BathSpec(), np.linspace(0, 1e-9, 2))
     for grid in ([], [1e-9, 2e-9], [0, 2e-9, 1e-9], [0, np.nan], [0, np.inf]):
         with pytest.raises(OpenSysError, match="time grid"):
             simulate_two_blocks(block, comp, BELL, 1.0, BathSpec(), grid)
