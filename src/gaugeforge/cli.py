@@ -7,8 +7,10 @@ Exit codes: 0 success, 1 computation failure (verification or convergence),
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import hashlib
+import io
 import json
 import sys
 
@@ -31,22 +33,31 @@ class ComputeError(Exception):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """A malformed command line is an input error: one line and exit 2, no usage block."""
+
+    def error(self, message):
+        raise InputError(message)
+
+
+# The simulate settings and their defaults, as text.  Each takes its flag, else
+# its --config value, else this default; a config may hold no other key.
+_SETTINGS = {"initial": "plusL", "blocks": "together", "gamma": "1.2", "t-max": "5e-8",
+             "samples": "26", "bath": "", "metrics": "logical"}
+
+
 def _read_matrix(path: str) -> tuple[CodeMatrix, str]:
     try:
         with open(path, "rb") as f:
             raw = f.read()
     except OSError as exc:
         raise InputError(f"cannot read matrix file {path}: {exc}") from exc
-    digest = hashlib.sha256(raw).hexdigest()
     try:
         cm = codes.load_code_matrix(raw.decode("utf-8"))
-    except (UnicodeDecodeError, PauliError, codes.CodeError, ValueError) as exc:
-        raise InputError(f"cannot parse matrix file {path}: {exc}") from exc
-    try:
         codes.check_size(cm)
-    except codes.CodeError as exc:
+    except (UnicodeDecodeError, PauliError, codes.CodeError, ValueError) as exc:
         raise InputError(f"matrix file {path}: {exc}") from exc
-    return cm, digest
+    return cm, hashlib.sha256(raw).hexdigest()
 
 
 def _load_config(path: str | None) -> dict:
@@ -59,25 +70,26 @@ def _load_config(path: str | None) -> dict:
         raise InputError(f"cannot load config {path}: {exc}") from exc
     if not isinstance(cfg, dict):
         raise InputError(f"config {path} must be a JSON object")
+    unknown = set(cfg) - set(_SETTINGS)
+    if unknown:
+        raise InputError(f"config {path}: unknown key {min(unknown)!r} "
+                         f"(the keys are {', '.join(_SETTINGS)})")
     return cfg
 
 
-def _resolve(args, cfg: dict, keys: list[str]) -> dict:
-    """Materialize the full config: file values fill in unset flags."""
-    out = {}
-    for key in keys:
-        flag = getattr(args, key.replace("-", "_"), None)
-        out[key] = cfg.get(key) if flag is None and key in cfg else flag
-    return out
+def _json(report: dict) -> str:
+    return json.dumps(report, indent=2, sort_keys=True) + "\n"
 
 
-def _emit(report: dict, out_path: str | None):
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
-    if out_path:
-        with open(out_path, "w") as f:
-            f.write(text)
-    else:
-        sys.stdout.write(text)
+def _csv(rows) -> str:
+    buf = io.StringIO()
+    csv.writer(buf).writerows(rows)
+    return buf.getvalue()
+
+
+def _write(out, text: str):
+    """Write a command's whole output at once, to a file ``main`` opened or to stdout."""
+    (out or sys.stdout).write(text)
 
 
 def _parse_weights(spec_str: str, code) -> spectra.WeightSpec:
@@ -100,9 +112,7 @@ def _parse_weights(spec_str: str, code) -> spectra.WeightSpec:
     raise InputError(f"bad --weights {spec_str!r}: expected uniform:L, xz:L,E or file:PATH")
 
 
-def _parse_bath(spec_str: str | None) -> opensys.BathSpec:
-    if spec_str is not None and not isinstance(spec_str, str):
-        raise InputError(f"bad --bath {spec_str!r}: expected chi=..,omega_c=..,omega_T=..")
+def _parse_bath(spec_str: str) -> opensys.BathSpec:
     kwargs = {}
     if spec_str:
         for item in spec_str.split(","):
@@ -141,12 +151,10 @@ def _reduced_basis_from_report(cm: CodeMatrix, rep: dict) -> extraction.ReducedB
 
 def cmd_code_info(args, cfg) -> int:
     cm, digest = _read_matrix(args.matrix)
-    resolved = {"matrix": args.matrix, "all_pairs": bool(args.all_pairs)}
-    code = build_code(cm, all_pairs=args.all_pairs)
-    report = code.to_report()
-    report["config"] = resolved
+    report = build_code(cm, all_pairs=args.all_pairs).to_report()
+    report["config"] = {"matrix": args.matrix, "all_pairs": bool(args.all_pairs)}
     report["matrix_sha256"] = digest
-    _emit(report, args.out)
+    _write(args.out, _json(report))
     return EXIT_OK
 
 
@@ -162,7 +170,7 @@ def cmd_reduce(args, cfg) -> int:
     report["verification"] = verification.to_dict()
     report["config"] = {"matrix": args.matrix}
     report["matrix_sha256"] = digest
-    _emit(report, args.out)
+    _write(args.out, _json(report))
     if not verification.ok:
         sys.stderr.write("verification failed: "
                          + "; ".join(n for n, _ in verification.violations) + "\n")
@@ -200,53 +208,45 @@ def cmd_spectrum(args, cfg) -> int:
         raise ComputeError(str(exc)) from exc
     report = sep.to_dict()
     report["sectors"].sort(key=lambda s: s["sector"], reverse=True)
-    report["config"] = {
-        "matrix": args.matrix,
-        "weights": args.weights or "uniform:1",
-        "all_pairs": bool(args.all_pairs),
-        "basis": args.basis,
-    }
+    report["config"] = {"matrix": args.matrix, "weights": args.weights or "uniform:1",
+                        "all_pairs": bool(args.all_pairs), "basis": args.basis}
     report["matrix_sha256"] = digest
     if full is not None:
         report["full_ground_energy"] = e_full
-    _emit(report, args.out)
+    _write(args.out, _json(report))
     if args.sector_table:
         rows = sorted(sep.ground_energies.items(), reverse=True)
-        with open(args.sector_table, "w", newline="") as f:
-            writer = csv.writer(f)
-            writer.writerow([f"s{i + 1}" for i in range(len(rows[0][0]))] + ["ground_energy"])
-            for sector, energy in rows:
-                writer.writerow(list(sector) + [repr(energy)])
+        header = [f"s{i + 1}" for i in range(len(rows[0][0]))] + ["ground_energy"]
+        _write(args.sector_table, _csv([header] + [[*s, repr(e)] for s, e in rows]))
     return EXIT_OK
-
-
-SIM_KEYS = ["initial", "blocks", "gamma", "t-max", "samples", "bath", "metrics"]
 
 
 def cmd_simulate(args, cfg) -> int:
     cm, digest = _read_matrix(args.matrix)
-    r = _resolve(args, cfg, SIM_KEYS)
-    initial = r["initial"] or "plusL"
-    blocks = r["blocks"] or "together"
-    gammas = r["gamma"] if r["gamma"] is not None else "1.2"
-    try:
-        # through str, as float(True) is 1.0 and int(2.5) truncates
-        t_max = float(str(r["t-max"])) if r["t-max"] is not None else 5e-8
-        samples = int(str(r["samples"])) if r["samples"] is not None else 26
-    except (TypeError, ValueError) as exc:
+
+    def setting(key: str) -> str:
+        return str(getattr(args, key.replace("-", "_"), cfg.get(key, _SETTINGS[key])))
+
+    initial, blocks, metrics, gammas = (setting(key) for key in
+                                        ("initial", "blocks", "metrics", "gamma"))
+    try:  # from text, as float(True) is 1.0 and int(2.5) truncates
+        t_max, samples = float(setting("t-max")), int(setting("samples"))
+    except ValueError as exc:
         raise InputError(f"bad --t-max or --samples: {exc}") from exc
-    metrics = r["metrics"] or "logical"
     if initial not in ("plusL", "bell") or blocks not in ("together", "separate"):
         raise InputError("--initial must be plusL|bell, --blocks together|separate")
     if metrics not in ("logical", "physical"):
         raise InputError("--metrics must be logical or physical")
     if not 0 < t_max < np.inf or samples < 2:
         raise InputError("--t-max must be positive and finite and --samples at least 2")
-    bath = _parse_bath(r["bath"])
+    bath = _parse_bath(setting("bath"))
     try:
-        gamma_list = sorted(float(g) for g in str(gammas).split(","))
+        gamma_list = sorted(float(g) for g in gammas.split(","))
     except ValueError as exc:
         raise InputError(f"bad --gamma {gammas!r}: {exc}") from exc
+    if not all(0 < abs(g * bath.omega_T) < np.inf for g in gamma_list):
+        raise InputError(f"bad --gamma {gammas!r}: each weight times omega_T "
+                         "must be finite and nonzero")
 
     code = build_code(cm)
     rho_L = opensys.PLUS if initial == "plusL" else opensys.BELL
@@ -260,7 +260,8 @@ def cmd_simulate(args, cfg) -> int:
     if blocks == "separate":
         composite = build_code(combined_matrix([cm, cm]))
 
-    rows = []
+    header = ["gamma", "t", "trace_distance", "purity"] + (["eof"] if want_eof else [])
+    rows = [header]
     for gamma in gamma_list:
         try:
             if blocks == "together":
@@ -270,29 +271,14 @@ def cmd_simulate(args, cfg) -> int:
                                                    t_grid, metrics=metrics)
         except opensys.OpenSysError as exc:
             raise ComputeError(f"simulation failed at gamma={gamma}: {exc}") from exc
-        for m in traj.metrics:
-            row = [repr(gamma), repr(m["t"]),
-                   repr(m["trace_distance"]), repr(m["purity"])]
-            if want_eof:
-                row.append(repr(m["eof"]))
-            rows.append(row)
-
-    header = ["gamma", "t", "trace_distance", "purity"] + (["eof"] if want_eof else [])
+        rows += ([repr(gamma)] + [repr(m[key]) for key in header[1:]] for m in traj.metrics)
     resolved = {
         "matrix": args.matrix, "matrix_sha256": digest, "initial": initial,
         "blocks": blocks, "gamma": gamma_list, "t_max": t_max, "samples": samples,
         "bath": {"chi": bath.chi, "omega_c": bath.omega_c, "omega_T": bath.omega_T},
         "metrics": metrics,
     }
-    out = open(args.out, "w", newline="") if args.out else sys.stdout
-    try:
-        out.write("# config " + json.dumps(resolved, sort_keys=True) + "\n")
-        writer = csv.writer(out)
-        writer.writerow(header)
-        writer.writerows(rows)
-    finally:
-        if args.out:
-            out.close()
+    _write(args.out, "# config " + json.dumps(resolved, sort_keys=True) + "\n" + _csv(rows))
     return EXIT_OK
 
 
@@ -345,14 +331,13 @@ def cmd_encode_count(args, cfg) -> int:
         ],
         "config": {"problem": args.problem},
     }
-    _emit(report, args.out)
+    _write(args.out, _json(report))
     return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="gaugeforge",
-                                description="Subsystem codes from binary matrices: "
-                                            "spectra and open-system simulation")
+    p = _Parser(prog="gaugeforge", description="Subsystem codes from binary matrices: "
+                                               "spectra and open-system simulation")
     p.add_argument("--config", help="JSON config file; explicit flags override")
     sub = p.add_subparsers(dest="command", required=True)
 
@@ -379,16 +364,18 @@ def build_parser() -> argparse.ArgumentParser:
     spec_p.add_argument("--out")
     spec_p.set_defaults(func=cmd_spectrum)
 
-    sim = sub.add_parser("simulate", help="open-system evolution of encoded states")
+    # an unset setting is absent from the namespace, so --config can fill it in
+    sim = sub.add_parser("simulate", help="open-system evolution of encoded states",
+                         argument_default=argparse.SUPPRESS)
     sim.add_argument("matrix")
-    sim.add_argument("--initial", choices=["plusL", "bell"])
-    sim.add_argument("--blocks", choices=["together", "separate"])
+    sim.add_argument("--initial", help="plusL | bell")
+    sim.add_argument("--blocks", help="together | separate")
     sim.add_argument("--gamma", help="comma-separated penalty weights")
-    sim.add_argument("--t-max", type=float)
-    sim.add_argument("--samples", type=int)
+    sim.add_argument("--t-max", help="final time in seconds")
+    sim.add_argument("--samples", help="number of time samples, at least 2")
     sim.add_argument("--bath", help="chi=..,omega_c=..,omega_T=..")
-    sim.add_argument("--metrics", choices=["logical", "physical"])
-    sim.add_argument("--out", help="trajectory CSV path (default stdout)")
+    sim.add_argument("--metrics", help="logical | physical")
+    sim.add_argument("--out", default=None, help="trajectory CSV path (default stdout)")
     sim.set_defaults(func=cmd_simulate)
 
     enc = sub.add_parser("encode-count", help="locality statistics of an encoded Ising model")
@@ -399,17 +386,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         cfg = _load_config(args.config)
-        return args.func(args, cfg)
-    except InputError as exc:
+        with contextlib.ExitStack() as outputs:  # opened before any work, closed on any exit
+            for key in ("out", "sector_table"):
+                path = getattr(args, key, None)
+                if path:
+                    try:
+                        setattr(args, key, outputs.enter_context(open(path, "w", newline="")))
+                    except OSError as exc:
+                        raise InputError(f"cannot write {path}: {exc}") from exc
+            return args.func(args, cfg)
+    except (InputError, ComputeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
-        return EXIT_INPUT
-    except ComputeError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_COMPUTE
+        return EXIT_INPUT if isinstance(exc, InputError) else EXIT_COMPUTE
 
 
 if __name__ == "__main__":

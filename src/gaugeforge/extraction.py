@@ -101,18 +101,17 @@ class _State:
         return _pauli_on(self.cm, letter, [self.qubit(r, c) for r, c in coords])
 
     # -- anticommutation repair against the accumulated pairs --------------
-    def repair(self, op: PauliOp, against: str, upto: int | None = None) -> PauliOp:
+    def repair(self, op: PauliOp, against: str) -> PauliOp:
         """Multiply in partner operators until ``op`` commutes with every
         accumulated auxiliary of type ``against`` ('z' fixes an X-type op).
         A single pass suffices: each partner flips exactly its own pairing."""
         others = self.aux_z if against == "z" else self.aux_x
         partners = self.aux_x if against == "z" else self.aux_z
-        stop = len(others) if upto is None else upto
-        for j in range(stop):
-            if not op.commutes(others[j]):
-                op = op * partners[j]
-        for j in range(stop):
-            if not op.commutes(others[j]):  # pragma: no cover
+        for other, partner in zip(others, partners):
+            if not op.commutes(other):
+                op = op * partner
+        for other in others:
+            if not op.commutes(other):  # pragma: no cover
                 raise ExtractionError("anticommutation repair did not reach a fixed point")
         return op
 
@@ -144,12 +143,7 @@ def _row_like_extraction(st: _State, axis: str):
     ORIGINAL columns; auxiliary Z operators pair qubits within the leading
     column and the X partners run along rows with repair.
     """
-    if axis == "row":
-        order, other = st.rows, st.cols
-        vec = st.row_vec
-    else:
-        order, other = st.cols, st.rows
-        vec = st.col_vec
+    order, vec = (st.rows, st.row_vec) if axis == "row" else (st.cols, st.col_vec)
 
     cur = 0  # length of the leading segment currently under consideration
 

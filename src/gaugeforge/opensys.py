@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 from .codes import SubsystemCode, logical_operator
 from .pauli import PauliOp
@@ -149,16 +150,9 @@ def davies_generator(code: SubsystemCode, w: WeightSpec, b: BathSpec) -> DaviesG
 
 def _components(n: int, links) -> list[int]:
     """Connected-component label of each of ``n`` nodes joined by ``links``."""
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = x = parent[parent[x]]
-        return x
-
-    for u, v in links:
-        parent[find(u)] = find(v)
-    return [find(x) for x in range(n)]
+    u, v = np.array(list(links), dtype=np.int64).reshape(-1, 2).T
+    graph = sp.coo_matrix((np.ones(u.size), (u, v)), shape=(n, n))
+    return connected_components(graph, directed=False)[1].tolist()
 
 
 def lindblad_superoperator(g: DaviesGenerator) -> sp.csr_matrix:

@@ -190,6 +190,16 @@ def test_exit_code_2_for_input_errors(capsys, tmp_path):
     pytest.param({}, ["simulate", "m412", "--bath", "chi=abc"], id="bath-value"),
     pytest.param({}, ["simulate", "m412", "--bath", "chi=nan"], id="bath-nan"),
     pytest.param({}, ["simulate", "m412", "--t-max", "nan"], id="t-max-nan"),
+    pytest.param({}, ["simulate", "m412", "--samples", "2.5"], id="samples-fraction"),
+    pytest.param({}, ["simulate", "m412", "--gamma", "nan"], id="gamma-nan"),
+    pytest.param({}, ["simulate", "m412", "--gamma", "0"], id="gamma-zero"),
+    pytest.param({"cfg.json": {"gamma": float("inf")}},
+                 ["--config", "{tmp}/cfg.json", "simulate", "m412"], id="config-gamma-inf"),
+    pytest.param({}, ["simulate", "--t-max", "1e-9"], id="missing-matrix"),
+    pytest.param({"cfg.json": {"t_max": 1e-10, "samples": 2}},
+                 ["--config", "{tmp}/cfg.json", "simulate", "m412"], id="config-key-t_max"),
+    pytest.param({"cfg.json": {"weights": "uniform:2"}},
+                 ["--config", "{tmp}/cfg.json", "spectrum", "m412"], id="config-key-spectrum"),
     pytest.param({"w.json": 5}, ["spectrum", "m412", "--weights", "file:{tmp}/w.json"],
                  id="weights-file"),
     pytest.param({"prob.json": {"blocks": [[[1, 1], [1, 1]]], "assignment": [1]}},
@@ -233,6 +243,29 @@ def test_exit_code_2_for_malformed_values(capsys, matrices, tmp_path, files, arg
     code, out, err = run(capsys, *(matrices.get(a, a.format(tmp=tmp_path)) for a in argv))
     assert code == 2 and out == ""
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["code", "info", "m412", "--out", "{tmp}/missing/r.json"], id="code-info"),
+    pytest.param(["spectrum", "m412", "--out", "{tmp}/missing/r.json"], id="spectrum"),
+    pytest.param(["spectrum", "m412", "--out", "{tmp}/r.json",
+                  "--sector-table", "{tmp}/missing/s.csv"], id="sector-table"),
+    pytest.param(["simulate", "m412", "--out", "{tmp}/missing/t.csv"], id="simulate"),
+])
+def test_exit_code_2_for_unwritable_output_before_any_work(capsys, monkeypatch, matrices,
+                                                           tmp_path, argv):
+    import gaugeforge.cli as cli_mod
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the output path check")
+
+    monkeypatch.setattr(cli_mod, "build_code", no_work)
+    monkeypatch.setattr(cli_mod.spectra, "energy_separation", no_work)
+    monkeypatch.setattr(cli_mod.opensys, "simulate_code", no_work)
+    code, out, err = run(capsys, *(matrices.get(a, a.format(tmp=tmp_path)) for a in argv))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert all(p.stat().st_size == 0 for p in tmp_path.glob("*.json"))  # no report written
 
 
 @pytest.mark.parametrize("command", [["code", "info"], ["code", "reduce"], ["spectrum"]])
@@ -353,6 +386,13 @@ GOLDEN_REPORTS = {
         "d010a25c7bac8ed8867b07ff80866197c65f756d7d2570607ce0d022c3fd40a2",
     ("simulate", "m412", "--initial", "plusL", "--gamma", "0.8,1.2", "--t-max", "2e-8",
      "--samples", "6"): "48f1607ccf5df779bf6f6825088b8393d20280607a1d6ba776977bd068b9aa89",
+    ("simulate", "m622", "--initial", "bell", "--gamma", "0.2,1.2", "--t-max", "2e-10",
+     "--samples", "3"): "c6aa461287f38c5806284a8e35556ec54c0b0b4f8823ebc894ed25997cf6e038",
+    ("simulate", "m412", "--initial", "bell", "--blocks", "separate", "--gamma", "1.2",
+     "--t-max", "5e-10", "--samples", "3"):
+        "a6b77a20710ac10cadffdb3b7b2b87c087eb7e077cc24b6e9ee895dfe37abd12",
+    ("simulate", "m412", "--metrics", "physical", "--t-max", "1e-9", "--samples", "3"):
+        "c5b9939d693fbcae8d7c2b0e28ad4ab3b6ae22baab9ea1a860adcd311859b37f",
     ("encode-count", "two-m622"): "eaa285e3631a717bd34e65fb5571b0f94b6124735cb8439a0614c448fa642c4f",
     ("encode-count", "three-blocks"):
         "95e4221a185c3cf9eca676b511582fbe340e8675e3442336294b57d8c607ab42",
