@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -244,9 +245,9 @@ def cmd_simulate(args, cfg) -> int:
         gamma_list = sorted(float(g) for g in gammas.split(","))
     except ValueError as exc:
         raise InputError(f"bad --gamma {gammas!r}: {exc}") from exc
-    if not all(0 < abs(g * bath.omega_T) < np.inf for g in gamma_list):
+    if not all(0 < g * bath.omega_T < np.inf for g in gamma_list):
         raise InputError(f"bad --gamma {gammas!r}: each weight times omega_T "
-                         "must be finite and nonzero")
+                         "must be finite and positive")
 
     code = build_code(cm)
     rho_L = opensys.PLUS if initial == "plusL" else opensys.BELL
@@ -335,6 +336,7 @@ def cmd_encode_count(args, cfg) -> int:
     return EXIT_OK
 
 
+@functools.cache  # parse_args leaves the parser as it was, so one serves every call
 def build_parser() -> argparse.ArgumentParser:
     p = _Parser(prog="gaugeforge", description="Subsystem codes from binary matrices: "
                                                "spectra and open-system simulation")

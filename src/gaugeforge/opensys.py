@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
 
 from .codes import SubsystemCode, logical_operator
 from .pauli import PauliOp
@@ -148,77 +147,78 @@ def davies_generator(code: SubsystemCode, w: WeightSpec, b: BathSpec) -> DaviesG
     return davies_generator_from_h(H, b, single_qubit_couplings(code.n))
 
 
-def _components(n: int, links) -> list[int]:
-    """Connected-component label of each of ``n`` nodes joined by ``links``."""
-    u, v = np.array(list(links), dtype=np.int64).reshape(-1, 2).T
-    graph = sp.coo_matrix((np.ones(u.size), (u, v)), shape=(n, n))
-    return connected_components(graph, directed=False)[1].tolist()
-
-
 def lindblad_superoperator(g: DaviesGenerator) -> sp.csr_matrix:
     """Sparse action on vec(rho) (row stacking) in the eigenbasis of
-    sum rate (A (x) conj(A) - 1/2 A^dag A (x) I - 1/2 I (x) (A^dag A)^T), summed
-    jump by jump into one dense accumulator per Bohr block (class of level pairs
-    the jumps join).  Each entry gets the float operations of the sparse kron
-    sum of the formula in their order, so L is bit-identical to that sum."""
-    d, lv, nl = g.dim, g.levels, int(g.levels[-1]) + 1
-    terms = [(rate, A.tocoo(), (A.conj().T @ A).tocoo()) for _, rate, A in g.jumps if rate != 0.0]
-    if not terms:
-        return sp.csr_matrix((d * d, d * d), dtype=complex)
+    sum rate (A (x) conj(A) - 1/2 A^dag A (x) I - 1/2 I (x) (A^dag A)^T), summed jump by
+    jump in dense tiles of the realigned R[(i, j), (k, l)] = L[(i, k), (j, l)] (see
+    DECISIONS.md).  Each entry gets the float operations of the sparse kron sum of the
+    formula in their order, so L is bit-identical to that sum."""
+    d, lv = g.dim, g.levels
+    n = np.bincount(lv)
+    s, nl = np.cumsum(n) - n, n.size
+    grp = np.where(np.eye(d, dtype=bool), 0, 1 + lv[:, None] * nl + lv).ravel()  # of pair (i, j)
+    order = np.argsort(grp, kind="stable")  # group 0: the (k, k); 1 + a * nl + b: i != j in a, b
+    size = np.bincount(grp, minlength=1 + nl * nl)
+    pairs = np.split(order, np.cumsum(size)[:-1])  # each group's pairs i * d + j, row-major
+    mem = np.argsort(order) - (np.cumsum(size) - size)[grp]  # place of a pair in its group
+    jumps, tile = [], np.zeros((size.size, size.size), dtype=bool)  # (row group, column group)
+    for _, rate, A in g.jumps:
+        if rate != 0.0:
+            ab = np.unique(np.repeat(lv, np.diff(A.indptr)) * nl + lv[A.indices]).tolist()
+            groups = [0] * any(x % (nl + 1) == 0 for x in ab) + [1 + x for x in ab if size[1 + x]]
+            # A^dag A has the blocks (b, b2) of A's (a, b), (a, b2); their strips, at (k, k)
+            hs = {(1 + b * nl + b2, 1 + b2 * nl + b) for a, b in (divmod(x, nl) for x in ab)
+                  for a2, b2 in (divmod(x, nl) for x in ab) if a == a2 and size[1 + b * nl + b2]}
+            jumps.append((rate, A, dict(zip(groups, np.cumsum([0] + list(size[groups])))), hs))
+            tile[np.ix_(groups, groups)] = tile[0, 0] = True
+            tile[[g1 for g1, _ in hs], 0] = tile[0, [g2 for _, g2 in hs]] = True
+    width = tile @ size
+    colstart = np.cumsum(tile * size, 1) - tile * size
+    start = 1 + np.cumsum(size * width) - size * width
+    acc = np.zeros(1 + size @ width, dtype=complex)  # acc[0] stays 0, for absent entries
+    buf = np.empty(max((sum(size[list(offs)]) for _, _, offs, _ in jumps), default=0) ** 2, complex)
 
-    def moves(M):
-        return set(zip(lv[M.row].tolist(), lv[M.col].tolist()))
+    def add(g1, g2, X):  # tile (g1, g2) += X
+        at = start[g1] + colstart[g1, g2]
+        view = np.ndarray(X.shape, complex, acc, 16 * at, (16 * width[g1], 16))
+        view += X
 
-    # a move a -> b of A^dag A joins (a, x) ~ (b, x) and (x, a) ~ (x, b) for every x,
-    # and two moves a -> b, a' -> b' of one A join (a, a') ~ (b, b')
-    rep = _components(nl, itertools.chain.from_iterable(moves(AdA) for _, _, AdA in terms))
-    label = _components(nl * nl, ((rep[a] * nl + rep[a2], rep[b] * nl + rep[b2])
-                                  for _, A, _ in terms for m in [moves(A)]
-                                  for (a, b), (a2, b2) in itertools.product(m, m)))
-    r = np.array(rep)[lv]
-    blk = np.array(label, dtype=np.int32)[np.add.outer(r * nl, r).ravel()]  # block of row i * d + k
-    members = np.argsort(blk, kind="stable").astype(np.int32)  # each block's rows, ascending
-    size = np.bincount(blk)
-    first = np.cumsum(size) - size  # where each block starts in members
-    loc = np.argsort(members) - first[blk]  # place of a row (= column) within its block
-    rowstart = np.concatenate(([0], np.cumsum(size[blk])))  # row R, column C: rowstart[R] + loc[C]
-    acc = np.zeros(rowstart[-1], dtype=complex)
-    buf = np.zeros_like(acc)  # the current jump's term, zero between jumps
-
-    def slots(R, C):
-        if np.any(blk[R] != blk[C]):
-            raise OpenSysError("Liouvillian entry couples two Bohr blocks")
-        return rowstart[R] + loc[C]
-
-    ar = np.arange(d)
-    for rate, A, AdA in terms:
-        touched, conj, step = [], A.data.conj(), max(1, (1 << 16) // A.nnz)
-        for p in range(0, A.nnz, step):  # step rows of A (x) conj(A) at a time
-            q = slice(p, p + step)
-            pos = slots(np.add.outer(A.row[q] * d, A.row).ravel(),
-                        np.add.outer(A.col[q] * d, A.col).ravel())
-            if np.any(A.row == A.col):  # else no slot also holds an A^dag A entry
-                buf[pos] = (A.data[q, None] * conj).ravel()
-                touched.append(pos)
+    for rate, A, offs, hs in jumps:
+        f = A.toarray().flat[np.concatenate([pairs[gr] for gr in offs])]  # all (k, k) or none
+        P = np.multiply.outer(f, f.conj(), out=np.ndarray((f.size, f.size), complex, buf))
+        if A.nnz == 1:  # the kron sum squares a lone entry in a 1-wide loop: no FMA
+            P[np.ix_(f != 0, f != 0)] = np.multiply.outer(f[f != 0], f[f != 0].conj())
+        h = 0.5 * (A.conj().T @ A).toarray()
+        for g1, g2, h1, h2 in ([(0, 0, np.diagonal(h)[:, None], np.diagonal(h))]  # x - 0 is x
+                               + [(g1, 0, h.flat[pairs[g1]][:, None], 0) for g1, _ in hs]
+                               + [(0, g2, h.T.flat[pairs[g2]], 0) for _, g2 in hs]):
+            if g1 in offs and g2 in offs:  # the strips go into the jump's products there
+                block = slice(offs[g1], offs[g1] + size[g1]), slice(offs[g2], offs[g2] + size[g2])
+                P[block] = (P[block] - h1) - h2
             else:
-                acc[pos] += rate * (A.data[q, None] * conj).ravel()
-        half = np.repeat(0.5 * AdA.data, d)
-        for R, C in ((np.add.outer(AdA.row * d, ar), np.add.outer(AdA.col * d, ar)),
-                     (np.add.outer(AdA.col, ar * d), np.add.outer(AdA.row, ar * d))):
-            pos = slots(R.ravel(), C.ravel())
-            buf[pos] -= half
-            touched.append(pos)
-        for pos in touched:
-            acc[pos] += rate * buf[pos]
-            buf[pos] = 0
-    del buf
-    nz = acc != 0
-    data, counts = acc[nz], np.add.reduceat(nz, rowstart[:-1], dtype=np.int64)
-    del acc
-    cols = np.flatnonzero(nz)
-    cols += np.repeat(first[blk] - rowstart[:-1], counts)
-    indptr = np.concatenate(([0], np.cumsum(counts)))
-    return sp.csr_matrix((data, members[cols], indptr), shape=(d * d, d * d))
+                add(g1, g2, np.broadcast_to(rate * ((0 - h1) - h2), (size[g1], size[g2])))
+        P *= rate
+        for (g1, o1), (g2, o2) in itertools.product(offs.items(), offs.items()):
+            add(g1, g2, P[o1:o1 + size[g1], o2:o2 + size[g2]])
+
+    # L[(x, y), (j, l)] = R[(x, j), (y, l)], over the (j, l) of level blocks that meet R's tiles
+    where = np.hstack([np.eye(nl).reshape(-1, 1), np.eye(nl * nl)])  # groups of a level pair
+    meet = (where @ tile @ where.T > 0).reshape((nl,) * 4).transpose(0, 2, 1, 3)
+    cols = [[np.flatnonzero(meet[a, a2][np.ix_(lv, lv)]) for a2 in range(nl)] for a in range(nl)]
+    rowcols = [np.concatenate([np.tile(c, n[a2]) for a2, c in enumerate(row)]) for row in cols]
+    rowpos, cs = start[grp] + mem * width[grp], np.where(tile, colstart, -acc.size - d * d)
+    data, indices = (np.empty(np.count_nonzero(acc), t) for t in (complex, np.int32))
+    indptr = np.zeros(d * d + 1, dtype=np.int64)
+    for x in range(d):  # the rows (x, y) of L
+        v = [np.take(acc, rowpos[r] + cs[grp[r], grp[q]] + mem[q], mode="clip")
+             for a2, c in enumerate(cols[lv[x]])
+             for r, q in [(x * d + c // d, (s[a2] + np.arange(n[a2]))[:, None] * d + c % d)]]
+        V = np.concatenate([b.ravel() for b in v])
+        counts = np.concatenate([np.count_nonzero(b, 1) for b in v])
+        indptr[x * d + 1:x * d + d + 1] = indptr[x * d] + np.cumsum(counts)
+        data[indptr[x * d]:indptr[x * d + d]] = V[V != 0]
+        indices[indptr[x * d]:indptr[x * d + d]] = rowcols[lv[x]][V != 0]
+    return sp.csr_matrix((data, indices, indptr), shape=(d * d, d * d))
 
 
 @dataclass

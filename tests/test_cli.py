@@ -195,6 +195,10 @@ def test_exit_code_2_for_input_errors(capsys, tmp_path):
     pytest.param({}, ["simulate", "m412", "--gamma", "0"], id="gamma-zero"),
     pytest.param({"cfg.json": {"gamma": float("inf")}},
                  ["--config", "{tmp}/cfg.json", "simulate", "m412"], id="config-gamma-inf"),
+    pytest.param({}, ["simulate", "m412", "--gamma", "-1.2"], id="gamma-negative"),
+    pytest.param({"cfg.json": {"gamma": -0.5}},
+                 ["--config", "{tmp}/cfg.json", "simulate", "m622", "--initial", "bell"],
+                 id="config-gamma-negative"),
     pytest.param({}, ["simulate", "--t-max", "1e-9"], id="missing-matrix"),
     pytest.param({"cfg.json": {"t_max": 1e-10, "samples": 2}},
                  ["--config", "{tmp}/cfg.json", "simulate", "m412"], id="config-key-t_max"),
@@ -243,6 +247,21 @@ def test_exit_code_2_for_malformed_values(capsys, matrices, tmp_path, files, arg
     code, out, err = run(capsys, *(matrices.get(a, a.format(tmp=tmp_path)) for a in argv))
     assert code == 2 and out == ""
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_cached_parser_carries_no_flag_into_the_next_call(matrices, tmp_path):
+    import gaugeforge.cli as cli_mod
+
+    assert cli_mod.build_parser() is cli_mod.build_parser()
+    first, second, fresh = (str(tmp_path / f"{name}.csv") for name in ("first", "second", "fresh"))
+    sim = ["simulate", matrices["m412"], "--t-max", "1e-9"]
+    assert main(sim + ["--samples", "3", "--out", first]) == 0
+    assert main(sim + ["--out", second]) == 0
+    cli_mod.build_parser.cache_clear()
+    assert main(sim + ["--out", fresh]) == 0
+    assert Path(second).read_text() == Path(fresh).read_text()
+    assert len(Path(first).read_text().splitlines()) == 2 + 3  # config and header lines
+    assert len(Path(second).read_text().splitlines()) == 2 + 26  # the default --samples
 
 
 @pytest.mark.parametrize("argv", [

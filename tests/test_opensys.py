@@ -182,6 +182,34 @@ def test_liouvillian_matches_kron_oracle_on_degenerate_spectra(levels, shifts, s
     assert_bitwise_equal(lindblad_superoperator(g), kron_liouvillian(g))
 
 
+def test_liouvillian_matches_kron_oracle_on_other_generator_sets():
+    """Unequal X and Z weights and the all-pairs generator sets give level
+    structures, and so tile shapes, that the uniform-weight codes do not."""
+    bath = BathSpec()
+    m622 = build_code(CodeMatrix.from_matrix(M622))
+    cases = [(m622, WeightSpec.xz(1.2 * bath.omega_T, 0.7 * bath.omega_T,
+                                  len(m622.x_gauge), len(m622.z_gauge)))]
+    for M in (M412, [[1, 1, 1], [1, 1, 1]]):
+        code = build_code(CodeMatrix.from_matrix(M), all_pairs=True)
+        cases.append((code, WeightSpec.uniform(1.2 * bath.omega_T, len(code.gauge_generators))))
+    for code, w in cases:
+        g = davies_generator(code, w, bath)
+        assert_bitwise_equal(lindblad_superoperator(g), kron_liouvillian(g))
+
+
+def test_liouvillian_matches_kron_oracle_on_a_lone_entry():
+    """A jump with one non-zero entry in a level block of two: the kron sum
+    squares it in a 1-wide loop, which numpy rounds without a fused
+    multiply-add, unlike the wider loop of the block's outer product."""
+    rng = np.random.default_rng(3)
+    for z in rng.normal(size=(20, 2)) @ [1, 1j]:
+        c = np.zeros((3, 3), dtype=complex)
+        c[2, 0], c[0, 2] = z, np.conj(z)
+        g = davies_generator_from_h(np.diag([0.0, 0.0, 1e9]), BathSpec(), [c])
+        assert [A.nnz for _, _, A in g.jumps] == [1, 1]
+        assert_bitwise_equal(lindblad_superoperator(g), kron_liouvillian(g))
+
+
 # ---------------------------------------------------------------------------
 # Evolution invariants
 # ---------------------------------------------------------------------------
