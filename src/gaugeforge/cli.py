@@ -107,7 +107,9 @@ def _parse_weights(spec_str: str, code) -> spectra.WeightSpec:
         if kind == "file":
             with open(rest) as f:
                 values = json.load(f)
-            return spectra.WeightSpec.explicit(values)
+            w = spectra.WeightSpec.explicit(values)
+            w.for_code(code)  # a count other than the generators' is malformed input
+            return w
     except (ValueError, TypeError, OSError, json.JSONDecodeError, spectra.SpectraError) as exc:
         raise InputError(f"bad --weights {spec_str!r}: {exc}") from exc
     raise InputError(f"bad --weights {spec_str!r}: expected uniform:L, xz:L,E or file:PATH")

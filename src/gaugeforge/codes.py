@@ -50,9 +50,12 @@ class CodeMatrix:
 
     @classmethod
     def from_matrix(cls, M) -> "CodeMatrix":
-        M = np.asarray(M, dtype=np.uint8) % 2
+        M = np.asarray(M)
         if M.ndim != 2:
             raise CodeFormatError("expected a 2D binary matrix")
+        if not ((M == 0) | (M == 1)).all():
+            raise CodeFormatError("matrix entries must be 0 or 1")
+        M = M.astype(np.uint8)
         M.setflags(write=False)
         coords = tuple((i, j) for i in range(M.shape[0]) for j in range(M.shape[1]) if M[i, j])
         return cls(M, coords)

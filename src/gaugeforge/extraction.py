@@ -76,7 +76,6 @@ class _State:
 
     def __init__(self, cm: CodeMatrix):
         self.cm = cm
-        self.n = cm.n
         self.rows = list(range(cm.shape[0]))       # current row order (labels)
         self.cols = list(range(cm.shape[1]))       # current column order
         self.x_stabs: list[PauliOp] = []
@@ -101,12 +100,12 @@ class _State:
         return _pauli_on(self.cm, letter, [self.qubit(r, c) for r, c in coords])
 
     # -- anticommutation repair against the accumulated pairs --------------
-    def repair(self, op: PauliOp, against: str) -> PauliOp:
+    def repair(self, op: PauliOp) -> PauliOp:
         """Multiply in partner operators until ``op`` commutes with every
-        accumulated auxiliary of type ``against`` ('z' fixes an X-type op).
-        A single pass suffices: each partner flips exactly its own pairing."""
-        others = self.aux_z if against == "z" else self.aux_x
-        partners = self.aux_x if against == "z" else self.aux_z
+        accumulated auxiliary of the other type: the Z ones for an X-type op,
+        else the X ones.  A single pass suffices: each partner flips exactly
+        its own pairing."""
+        others, partners = (self.aux_z, self.aux_x) if op.z == 0 else (self.aux_x, self.aux_z)
         for other, partner in zip(others, partners):
             if not op.commutes(other):
                 op = op * partner
@@ -136,15 +135,10 @@ def _minimal_cover_with_free(target: int, candidates: list[int], free: list[int]
     raise NotInSpanError("top row has no dependency over the remaining rows")
 
 
-def _row_like_extraction(st: _State, axis: str):
-    """Row extraction (axis='row') or its column-stage mirror (axis='col').
-
-    For columns the emitted stabilizer is X-type and built from the full
-    ORIGINAL columns; auxiliary Z operators pair qubits within the leading
-    column and the X partners run along rows with repair.
-    """
-    order, vec = (st.rows, st.row_vec) if axis == "row" else (st.cols, st.col_vec)
-
+def _dependencies(order: list[int], vec):
+    """Yield dependencies among the row (or column) labels ``order`` until the
+    rest are independent.  Each one leads ``order``, reordered in place; its
+    first label, the head, leaves ``order`` when the caller resumes."""
     cur = 0  # length of the leading segment currently under consideration
 
     def mat(labels):
@@ -179,51 +173,50 @@ def _row_like_extraction(st: _State, axis: str):
         tail = [l for l in rest if l not in moved]
         order[:] = moved + [top] + [others[i] for i in used_free] + unused + tail
         cur = len(dep_set)
-
-        if axis == "row":
-            qubits = [(r, c) for r in dep_set for c in st.cols if st.entry(r, c)]
-            st.z_stabs.append(st.pauli("Z", qubits))
-        else:
-            # full original columns, then repair (normally a no-op)
-            qubits = [(r, c) for c in dep_set for r in range(st.cm.shape[0]) if st.entry(r, c)]
-            stab = st.repair(st.pauli("X", qubits), against="z")
-            st.x_stabs.append(stab)
-
-        head = order[0]
-        if axis == "row":
-            support = [c for c in st.cols if st.entry(head, c)]
-            first, others_q = support[0], support[1:]
-            new_x = [st.pauli("X", [(head, first), (head, c)]) for c in others_q]
-            new_z = []
-            for c in others_q:
-                below = next(
-                    (r for r in order[1:cur] if st.entry(r, c)), None
-                )
-                if below is None:
-                    raise ExtractionError(
-                        f"no qubit below ({head + 1},{c + 1}) within the current row set"
-                    )
-                new_z.append(st.pauli("Z", [(head, c), (below, c)]))
-            for xop, zop, c in zip(new_x, new_z, others_q):
-                xop = st.repair(xop, against="z")
-                zop = st.repair(zop, against="x")
-                st.add_pair(xop, zop, "row", f"row {head + 1}, column {c + 1}")
-        else:
-            support = [r for r in st.rows if st.entry(r, head)]
-            first, others_q = support[0], support[1:]
-            for r in others_q:
-                zop = st.repair(st.pauli("Z", [(first, head), (r, head)]), against="x")
-                nxt = next((c for c in st.cols[1:] if c != head and st.entry(r, c)), None)
-                if nxt is None:
-                    raise ExtractionError(
-                        f"no qubit right of ({r + 1},{head + 1}) within the current matrix"
-                    )
-                xop = st.repair(st.pauli("X", [(r, head), (r, nxt)]), against="z")
-                st.add_pair(xop, zop, "column", f"column {head + 1}, row {r + 1}")
-
+        yield dep_set
         # remove the processed head from the matrix
         order.pop(0)
         cur -= 1
+
+
+def _row_extraction(st: _State):
+    """Per row dependency: a Z-type stabilizer, then for each later qubit of
+    the head row an XX along that row and a ZZ down to a dependent row."""
+    for deps in _dependencies(st.rows, st.row_vec):
+        st.z_stabs.append(st.pauli("Z", [(r, c) for r in deps for c in st.cols if st.entry(r, c)]))
+        head = deps[0]
+        support = [c for c in st.cols if st.entry(head, c)]
+        first = support[0]
+        for c in support[1:]:
+            below = next((r for r in deps[1:] if st.entry(r, c)), None)
+            if below is None:
+                raise ExtractionError(
+                    f"no qubit below ({head + 1},{c + 1}) within the current row set"
+                )
+            xop = st.repair(st.pauli("X", [(head, first), (head, c)]))
+            zop = st.repair(st.pauli("Z", [(head, c), (below, c)]))
+            st.add_pair(xop, zop, "row", f"row {head + 1}, column {c + 1}")
+
+
+def _column_extraction(st: _State):
+    """Per column dependency of the row-reduced matrix: an X-type stabilizer,
+    then for each later qubit of the head column a ZZ down it and an XX right."""
+    for deps in _dependencies(st.cols, st.col_vec):
+        # full original columns, then repair (normally a no-op)
+        qubits = [(r, c) for c in deps for r in range(st.cm.shape[0]) if st.entry(r, c)]
+        st.x_stabs.append(st.repair(st.pauli("X", qubits)))
+        head = deps[0]
+        support = [r for r in st.rows if st.entry(r, head)]
+        first = support[0]
+        for r in support[1:]:
+            zop = st.repair(st.pauli("Z", [(first, head), (r, head)]))
+            nxt = next((c for c in st.cols[1:] if st.entry(r, c)), None)  # cols[0] is the head
+            if nxt is None:
+                raise ExtractionError(
+                    f"no qubit right of ({r + 1},{head + 1}) within the current matrix"
+                )
+            xop = st.repair(st.pauli("X", [(r, head), (r, nxt)]))
+            st.add_pair(xop, zop, "column", f"column {head + 1}, row {r + 1}")
 
 
 def _core_extraction(st: _State):
@@ -245,8 +238,8 @@ def _core_extraction(st: _State):
     if len(z_cands) != len(x_cands):
         raise ExtractionError("core candidate counts differ; matrix not fully reduced")
 
-    z_ops = [(st.repair(z, against="x"), d) for z, d in z_cands]
-    x_ops = [(st.repair(x, against="z"), d) for x, d in x_cands]
+    z_ops = [(st.repair(z), d) for z, d in z_cands]
+    x_ops = [(st.repair(x), d) for x, d in x_cands]
     while z_ops:
         zop, zdet = z_ops.pop(0)
         hit = next((i for i, (x, _) in enumerate(x_ops) if not x.commutes(zop)), None)
@@ -260,8 +253,8 @@ def _core_extraction(st: _State):
 
 def extract_reduced_basis(cm: CodeMatrix) -> ReducedBasis:
     st = _State(cm)
-    _row_like_extraction(st, "row")
-    _row_like_extraction(st, "col")
+    _row_extraction(st)
+    _column_extraction(st)
     _core_extraction(st)
 
     m_r, m_c = cm.shape
@@ -303,31 +296,27 @@ def verify_reduced_basis(code: SubsystemCode, rb: ReducedBasis) -> VerificationR
 
     stabs = list(rb.x_stabilizers) + list(rb.z_stabilizers)
     aux = rb.aux_pairs
-    ok = True
     bad = []
     for i, s in enumerate(stabs):
-        for j, t in enumerate(stabs):
-            if j > i and not s.commutes(t):
-                ok, bad = False, bad + [f"stab {i} vs stab {j}"]
+        for j, t in enumerate(stabs[i + 1:], i + 1):
+            if not s.commutes(t):
+                bad.append(f"stab {i} vs stab {j}")
         for j, (xa, za) in enumerate(aux):
             if not s.commutes(xa) or not s.commutes(za):
-                ok, bad = False, bad + [f"stab {i} vs pair {j}"]
+                bad.append(f"stab {i} vs pair {j}")
         for g in code.gauge_generators:
             if not s.commutes(g):
-                ok, bad = False, bad + [f"stab {i} vs gauge generator"]
-    rep.add("stabilizers_central", ok, "; ".join(bad))
+                bad.append(f"stab {i} vs gauge generator")
+    rep.add("stabilizers_central", not bad, "; ".join(bad))
 
-    ok = True
     bad = []
     for i, (xi, zi) in enumerate(aux):
         if xi.commutes(zi):
-            ok, bad = False, bad + [f"pair {i} commutes"]
-        for j, (xj, zj) in enumerate(aux):
-            if j <= i:
-                continue
+            bad.append(f"pair {i} commutes")
+        for j, (xj, zj) in enumerate(aux[i + 1:], i + 1):
             if not (xi.commutes(xj) and zi.commutes(zj) and xi.commutes(zj) and zi.commutes(xj)):
-                ok, bad = False, bad + [f"pair {i} vs pair {j}"]
-    rep.add("canonical_commutation", ok, "; ".join(bad))
+                bad.append(f"pair {i} vs pair {j}")
+    rep.add("canonical_commutation", not bad, "; ".join(bad))
 
     # every element of rb lies in the gauge group with sign +1
     x_basis = list(code.x_gauge)
@@ -358,6 +347,6 @@ def verify_reduced_basis(code: SubsystemCode, rb: ReducedBasis) -> VerificationR
 
     G = [g.x | g.z << g.n for g in code.gauge_generators]
     R = [op.x | op.z << op.n for op in stabs + rb.aux_x() + rb.aux_z()]
-    span_equal = gf2_rank(G) == gf2_rank(R) == gf2_rank(G + R)
-    rep.add("span_equality", span_equal, "" if span_equal else "generated groups differ")
+    bad = [] if gf2_rank(G) == gf2_rank(R) == gf2_rank(G + R) else ["generated groups differ"]
+    rep.add("span_equality", not bad, "; ".join(bad))
     return rep

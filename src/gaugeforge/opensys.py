@@ -223,7 +223,6 @@ def lindblad_superoperator(g: DaviesGenerator) -> sp.csr_matrix:
 
 @dataclass
 class Trajectory:
-    times: np.ndarray
     metrics: list[dict]
     final_state: np.ndarray  # lab frame
 
@@ -289,7 +288,7 @@ def _sample(t_grid: np.ndarray, states, metrics_fn) -> Trajectory:
         if metrics_fn is not None:
             m.update(metrics_fn(rho, float(t)))
         metrics.append(m)
-    return Trajectory(times=t_grid, metrics=metrics, final_state=rho)
+    return Trajectory(metrics=metrics, final_state=rho)
 
 
 def evolve(rho0: np.ndarray, g: DaviesGenerator, t_grid, metrics_fn=None) -> Trajectory:

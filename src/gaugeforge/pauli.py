@@ -38,10 +38,6 @@ class PhaseConsistencyError(PauliError):
     """A decomposition produced a phase of +/-i where a sign was expected."""
 
 
-def _popcount(x: int) -> int:
-    return x.bit_count()
-
-
 @dataclass(frozen=True)
 class PauliOp:
     """Immutable phased Pauli operator on ``n`` qubits."""
@@ -80,7 +76,7 @@ class PauliOp:
 
     @property
     def weight(self) -> int:
-        return _popcount(self.x | self.z)
+        return (self.x | self.z).bit_count()
 
     @property
     def is_identity(self) -> bool:
@@ -99,21 +95,21 @@ class PauliOp:
 
     def _raw_phase(self) -> int:
         # exponent of i in the X^x Z^z ordering
-        return (self.phase + _popcount(self.x & self.z)) % 4
+        return (self.phase + (self.x & self.z).bit_count()) % 4
 
     def __mul__(self, other: "PauliOp") -> "PauliOp":
         if self.n != other.n:
             raise DimensionMismatchError(f"qubit counts differ: {self.n} vs {other.n}")
-        raw = self._raw_phase() + other._raw_phase() + 2 * _popcount(self.z & other.x)
+        raw = self._raw_phase() + other._raw_phase() + 2 * (self.z & other.x).bit_count()
         x = self.x ^ other.x
         z = self.z ^ other.z
-        phase = (raw - _popcount(x & z)) % 4
+        phase = (raw - (x & z).bit_count()) % 4
         return PauliOp(self.n, x, z, phase)
 
     def commutes(self, other: "PauliOp") -> bool:
         if self.n != other.n:
             raise DimensionMismatchError(f"qubit counts differ: {self.n} vs {other.n}")
-        return (_popcount(self.x & other.z) + _popcount(self.z & other.x)) % 2 == 0
+        return ((self.x & other.z).bit_count() + (self.z & other.x).bit_count()) % 2 == 0
 
     def to_string(self, labels: list[str] | None = None) -> str:
         """Render in the operator text syntax, e.g. ``- X[1,1] X[1,2]``."""

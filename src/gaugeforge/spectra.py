@@ -3,8 +3,9 @@
 The Hamiltonian H = -sum_G w_G G commutes with every stabilizer, so it block
 diagonalizes over stabilizer sectors.  Within a sector each gauge generator
 reduces to a signed Pauli word on the auxiliary qubits, giving a dense
-2^a x 2^a matrix per sector instead of the full 2^n space.  The full-space
-route is kept as an independent cross-check.  Sector and full-space
+2^a x 2^a matrix per sector instead of the full 2^n space, solved densely.
+The full-space route is kept as an independent cross-check, solved by one
+iterative (Lanczos-type) path at every size.  Sector and full-space
 Hamiltonians are both a ``PauliSum``.
 """
 
@@ -20,8 +21,6 @@ import scipy.sparse.linalg as spla
 from .codes import SubsystemCode
 from .extraction import ReducedBasis
 from .pauli import PauliOp, express_in_basis
-
-DENSE_THRESHOLD = 4096  # full-space dimension up to which a dense solve is used
 
 
 class SpectraError(Exception):
@@ -226,13 +225,9 @@ def build_full_hamiltonian(code: SubsystemCode, w: WeightSpec) -> PauliSum:
 
 
 def full_ground_energy(op: PauliSum) -> float:
-    """Lowest eigenvalue: dense solve up to DENSE_THRESHOLD, otherwise an
-    iterative extremal (Lanczos-type) solve with a deterministic start."""
-    dim = op.shape[0]
-    if dim <= DENSE_THRESHOLD:
-        return float(np.linalg.eigvalsh(op.dense())[0])
-    rng = np.random.default_rng(0)
-    v0 = rng.standard_normal(dim)
+    """Lowest eigenvalue, by an iterative extremal (Lanczos-type) solve with a
+    deterministic start."""
+    v0 = np.random.default_rng(0).standard_normal(op.shape[0])
     try:
         vals = spla.eigsh(op, k=1, which="SA", v0=v0, tol=1e-8, maxiter=10000,
                           return_eigenvectors=False)

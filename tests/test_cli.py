@@ -206,6 +206,8 @@ def test_exit_code_2_for_input_errors(capsys, tmp_path):
                  ["--config", "{tmp}/cfg.json", "spectrum", "m412"], id="config-key-spectrum"),
     pytest.param({"w.json": 5}, ["spectrum", "m412", "--weights", "file:{tmp}/w.json"],
                  id="weights-file"),
+    pytest.param({"w.json": [1, 1, 1]}, ["spectrum", "m412", "--weights", "file:{tmp}/w.json"],
+                 id="weights-file-count"),
     pytest.param({"prob.json": {"blocks": [[[1, 1], [1, 1]]], "assignment": [1]}},
                  ["encode-count", "{tmp}/prob.json"], id="encode-count-assignment"),
     pytest.param({"prob.json": {"blocks": [[[1, 1], [1, 1]]], "assignment": {"1": [1, 0]}}},
@@ -233,6 +235,16 @@ def test_exit_code_2_for_input_errors(capsys, tmp_path):
     pytest.param({"prob.json": {"blocks": [[[1, 1], [1, 1]]] * 2, "J": {"1,2": float("inf")},
                                 "assignment": {"1": [0, 0], "2": [1, 0]}}},
                  ["encode-count", "{tmp}/prob.json"], id="encode-count-J-infinity"),
+    pytest.param({"prob.json": {"blocks": [[[-1, 1], [1, 1]]], "assignment": {"1": [0, 0]}}},
+                 ["encode-count", "{tmp}/prob.json"], id="encode-count-entry-neg1"),
+    pytest.param({"prob.json": {"blocks": [[[3, 1], [1, 1]]], "assignment": {"1": [0, 0]}}},
+                 ["encode-count", "{tmp}/prob.json"], id="encode-count-entry-3"),
+    pytest.param({"prob.json": {"blocks": [[[1.5, 1], [1, 1]]], "assignment": {"1": [0, 0]}}},
+                 ["encode-count", "{tmp}/prob.json"], id="encode-count-entry-1.5"),
+    pytest.param({"prob.json": {"blocks": [[[2, 1], [1, 1]]], "assignment": {"1": [0, 0]}}},
+                 ["encode-count", "{tmp}/prob.json"], id="encode-count-entry-2"),
+    pytest.param({"prob.json": {"blocks": [[[0.5, 1], [1, 1]]], "assignment": {"1": [0, 0]}}},
+                 ["encode-count", "{tmp}/prob.json"], id="encode-count-entry-0.5"),
     pytest.param({"prob.json": {"blocks": [[[1]]] * 21, "assignment": {"1": [0, 0]}}},
                  ["encode-count", "{tmp}/prob.json"], id="encode-count-21-rows"),
     pytest.param({"prob.json": {"blocks": [[[1] * 6] * 6] * 2, "assignment": {"1": [0, 0]}}},

@@ -102,17 +102,37 @@ def test_extraction_reproduces_hand_listed_fixture():
     assert rb.aux_pairs == manual.aux_pairs
 
 
+def _operator_strings(cm, rb) -> tuple[list, list, list]:
+    labels = cm.qubit_labels()
+    return ([s.to_string(labels) for s in rb.x_stabilizers],
+            [s.to_string(labels) for s in rb.z_stabilizers],
+            [(x.to_string(labels), z.to_string(labels)) for x, z in rb.aux_pairs])
+
+
 def test_regression_pruned_cover_matrix():
     # dependency sets here require discarding free rows from the cover
     cm = CodeMatrix.from_matrix([[1, 1, 0], [1, 0, 1], [0, 1, 1], [0, 1, 1]])
     rb = extract_reduced_basis(cm)
     assert verify_reduced_basis(build_code(cm), rb).ok
+    assert _operator_strings(cm, rb) == (
+        ["X[1,1] X[1,2] X[2,1] X[2,3] X[3,2] X[3,3] X[4,2] X[4,3]"],
+        ["Z[1,1] Z[1,2] Z[2,1] Z[2,3] Z[3,2] Z[3,3]", "Z[3,2] Z[3,3] Z[4,2] Z[4,3]"],
+        [("X[2,1] X[2,3]", "Z[2,3] Z[3,3]"),
+         ("X[4,2] X[4,3]", "Z[3,3] Z[4,3]"),
+         ("X[1,1] X[1,2]", "Z[1,2] Z[3,2]")],
+    )
 
 
 def test_regression_dependent_head_matrix():
     cm = CodeMatrix.from_matrix([[1, 0, 1], [0, 1, 1], [1, 1, 1]])
     rb = extract_reduced_basis(cm)
     assert verify_reduced_basis(build_code(cm), rb).ok
+    assert _operator_strings(cm, rb) == ([], [], [
+        ("X[1,1] X[1,3]", "Z[1,1] Z[3,1]"),
+        ("X[2,2] X[2,3]", "Z[2,2] Z[3,2]"),
+        ("X[2,2] X[2,3] X[3,2] X[3,3]", "Z[1,1] Z[1,3] Z[2,2] Z[2,3] Z[3,1] Z[3,2]"),
+        ("X[1,1] X[1,3] X[2,2] X[2,3] X[3,1] X[3,2]", "Z[2,2] Z[2,3] Z[3,2] Z[3,3]"),
+    ])
 
 
 def test_regression_independent_leading_column():
@@ -120,6 +140,31 @@ def test_regression_independent_leading_column():
     cm = CodeMatrix.from_matrix([[1, 0, 1, 1, 1], [1, 1, 0, 1, 0], [0, 0, 1, 1, 1]])
     rb = extract_reduced_basis(cm)
     assert verify_reduced_basis(build_code(cm), rb).ok
+    assert _operator_strings(cm, rb) == (
+        ["X[1,3] X[1,4] X[2,2] X[2,4] X[3,3] X[3,4]",
+         "X[1,4] X[1,5] X[2,2] X[2,4] X[3,4] X[3,5]"],
+        [],
+        [("X[3,3] X[3,4]", "Z[1,3] Z[3,3]"),
+         ("X[3,4] X[3,5]", "Z[1,5] Z[3,5]"),
+         ("X[1,1] X[1,4]", "Z[1,4] Z[2,4]"),
+         ("X[1,1] X[1,4] X[2,2] X[2,4]", "Z[1,3] Z[1,5] Z[2,4] Z[3,3] Z[3,4] Z[3,5]"),
+         ("X[2,1] X[2,2]", "Z[1,1] Z[1,3] Z[1,4] Z[1,5] Z[2,1] Z[3,3] Z[3,4] Z[3,5]")],
+    )
+
+
+def test_regression_first_dependent_row_below_head():
+    # three rows below head row 2 meet column 2; its ZZ takes the first of them
+    cm = CodeMatrix.from_matrix([[0, 1, 1], [1, 1, 0], [0, 1, 0], [1, 1, 1]])
+    rb = extract_reduced_basis(cm)
+    assert verify_reduced_basis(build_code(cm), rb).ok
+    assert _operator_strings(cm, rb) == (
+        [],
+        ["Z[1,2] Z[1,3] Z[2,1] Z[2,2] Z[3,2] Z[4,1] Z[4,2] Z[4,3]"],
+        [("X[2,1] X[2,2]", "Z[2,2] Z[3,2]"),
+         ("X[4,1] X[4,2]", "Z[3,2] Z[4,2]"),
+         ("X[1,2] X[1,3]", "Z[1,2] Z[3,2]"),
+         ("X[4,1] X[4,3]", "Z[1,2] Z[1,3] Z[3,2] Z[4,3]")],
+    )
 
 
 def test_full_rank_matrix_has_no_stabilizers():
@@ -176,3 +221,35 @@ def test_verifier_flags_broken_basis():
     )
     report = verify_reduced_basis(code, phased)
     assert ("membership", "x_stab[0]: phase +/-i") in report.violations
+
+
+def _checks(*failed: tuple[str, str], counts: str) -> dict:
+    """A verification dict whose every check passes except ``failed`` (name, detail)."""
+    names = ["counts", "stabilizers_central", "canonical_commutation", "membership",
+             "gauge_decomposition", "span_equality"]
+    details = dict(failed)
+    checks = [{"name": n, "ok": n not in details, "detail": details.get(n, "")} for n in names]
+    checks[0]["detail"] = counts
+    return {"passed": not failed, "checks": checks}
+
+
+def test_verifier_details_for_anticommuting_stabilizer():
+    cm = CodeMatrix.from_matrix([[1, 1], [1, 1]])
+    rb = extract_reduced_basis(cm)
+    bad = ReducedBasis([cm.parse("X[1,1] X[1,2]")], rb.z_stabilizers, rb.aux_pairs)
+    assert verify_reduced_basis(build_code(cm), bad).to_dict() == _checks(
+        ("stabilizers_central",
+         "stab 0 vs pair 0; stab 0 vs gauge generator; stab 0 vs gauge generator"),
+        counts="got (1, 1, 1), expected (1, 1, 1)",
+    )
+
+
+def test_verifier_details_for_non_canonical_pairs():
+    cm = CodeMatrix.from_matrix([[1, 1, 0], [0, 1, 1], [1, 0, 1]])
+    rb = extract_reduced_basis(cm)
+    (x0, z0), (x1, z1) = rb.aux_pairs
+    bad = ReducedBasis(rb.x_stabilizers, rb.z_stabilizers, [(x0, z1), (x1, z0)])
+    assert verify_reduced_basis(build_code(cm), bad).to_dict() == _checks(
+        ("canonical_commutation", "pair 0 commutes; pair 0 vs pair 1; pair 1 commutes"),
+        counts="got (1, 1, 2), expected (1, 1, 2)",
+    )

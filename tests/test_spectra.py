@@ -128,8 +128,12 @@ def test_sector_minimum_matches_full_ground_energy():
         w = WeightSpec.explicit(rng.uniform(0.2, 2.0, size=len(code.gauge_generators)))
         rep = energy_separation(code, rb, w)
         e_min = min(rep.ground_energies.values())
-        e_full = full_ground_energy(build_full_hamiltonian(code, w))
+        H = build_full_hamiltonian(code, w)
+        e_full = full_ground_energy(H)
         assert abs(e_min - e_full) < 1e-8
+        if code.n <= 10:  # the iterative solve against a dense one
+            e_dense = full_spectrum(H)[0]
+            assert abs(e_full - e_dense) <= 1e-12 * abs(e_dense)
 
 
 @settings(max_examples=60, deadline=None)
