@@ -83,15 +83,8 @@ class _State:
         self.aux_x: list[PauliOp] = []
         self.aux_z: list[PauliOp] = []
 
-    # -- views of the current submatrix, as GF(2) vectors ------------------
-    def row_vec(self, r: int) -> int:
-        return self.cm.row_masks[r] & sum(1 << c for c in self.cols)
-
-    def col_vec(self, c: int) -> int:
-        return self.cm.col_masks[c] & sum(1 << r for r in self.rows)
-
     def entry(self, r: int, c: int) -> int:
-        return int(self.cm.matrix[r, c])
+        return self.cm.row_masks[r] >> c & 1
 
     def qubit(self, r: int, c: int) -> int:
         return self.cm.index[(r, c)]
@@ -123,7 +116,10 @@ class _State:
 
 def _minimal_cover_with_free(target: int, candidates: list[int], free: list[int]):
     """Smallest (size, then lex) subset D of ``candidates`` such that
-    target + sum(D) lies in span(free).  Returns (D indices, free subset)."""
+    target + sum(D) lies in span(free).  Returns (D indices, free subset).
+    Such a D exists exactly when target lies in span(free + candidates)."""
+    if gf2_solve(free + candidates, target) is None:
+        raise NotInSpanError("label has no dependency over the remaining labels")
     for size in range(len(candidates) + 1):
         for combo in itertools.combinations(range(len(candidates)), size):
             acc = target
@@ -132,57 +128,42 @@ def _minimal_cover_with_free(target: int, candidates: list[int], free: list[int]
             used = gf2_solve(free, acc)
             if used is not None:
                 return combo, tuple(i for i in range(len(free)) if used >> i & 1)
-    raise NotInSpanError("top row has no dependency over the remaining rows")
+    raise ExtractionError("dependency search found no cover inside the span")  # pragma: no cover
 
 
 def _dependencies(order: list[int], vec):
-    """Yield dependencies among the row (or column) labels ``order`` until the
-    rest are independent.  Each one leads ``order``, reordered in place; its
-    first label, the head, leaves ``order`` when the caller resumes."""
-    cur = 0  # length of the leading segment currently under consideration
-
-    def mat(labels):
-        return [vec(l) for l in labels]
-
-    while gf2_rank(mat(order)) < len(order):
-        if cur > 0:
-            head, rest = order[:cur], order[cur:]
-            if gf2_rank(mat(head)) + gf2_rank(mat(rest)) == gf2_rank(mat(order)):
-                # leading segment can no longer join a dependency: flush it
-                order[:] = rest + head
-                cur = 0
-        if cur == 0:
-            cur = 1
-        top = order[0]
-        others = order[1:cur]
-        rest = order[cur:]
-        try:
-            D, used_free = _minimal_cover_with_free(
-                vec(top), [vec(l) for l in rest], [vec(l) for l in others]
-            )
-        except NotInSpanError:
-            # leading label is independent of everything else: it belongs to
-            # the full-rank core, so rotate it to the bottom and retry
-            order[:] = order[1:] + [top]
-            cur = max(cur - 1, 0)
-            continue
-        dep_set = [rest[i] for i in D] + [top] + [others[i] for i in used_free]
-        unused = [o for i, o in enumerate(others) if i not in used_free]
-        # reorder: new dependency rows on top, demoted leftovers just below
+    """Yield the dependencies among the labels ``order``, one per unit of
+    nullity of their vectors ``vec[label]``.  Each one leads ``order``,
+    reordered in place; its first label, the head, lies in the span of the
+    others and leaves ``order`` when the caller resumes."""
+    cur = 1  # length of the leading segment: the top label plus the free ones
+    for _ in range(len(order) - gf2_rank([vec[l] for l in order])):
+        while True:
+            top, others, rest = order[0], order[1:cur], order[cur:]
+            try:
+                D, used_free = _minimal_cover_with_free(
+                    vec[top], [vec[l] for l in rest], [vec[l] for l in others]
+                )
+                break
+            except NotInSpanError:
+                # top is independent of every other label: it belongs to the
+                # full-rank core, so rotate it to the bottom and retry
+                order[:] = order[1:] + [top]
+                cur = max(cur - 1, 1)
         moved = [rest[i] for i in D]
-        tail = [l for l in rest if l not in moved]
-        order[:] = moved + [top] + [others[i] for i in used_free] + unused + tail
-        cur = len(dep_set)
+        dep_set = moved + [top] + [others[i] for i in used_free]
+        unused = [o for i, o in enumerate(others) if i not in used_free]
+        # reorder: new dependency labels on top, demoted leftovers just below
+        order[:] = dep_set + unused + [l for l in rest if l not in moved]
         yield dep_set
-        # remove the processed head from the matrix
-        order.pop(0)
-        cur -= 1
+        order.pop(0)  # the head leaves
+        cur = max(len(dep_set) - 1, 1)
 
 
 def _row_extraction(st: _State):
     """Per row dependency: a Z-type stabilizer, then for each later qubit of
     the head row an XX along that row and a ZZ down to a dependent row."""
-    for deps in _dependencies(st.rows, st.row_vec):
+    for deps in _dependencies(st.rows, st.cm.row_masks):
         st.z_stabs.append(st.pauli("Z", [(r, c) for r in deps for c in st.cols if st.entry(r, c)]))
         head = deps[0]
         support = [c for c in st.cols if st.entry(head, c)]
@@ -194,17 +175,18 @@ def _row_extraction(st: _State):
                     f"no qubit below ({head + 1},{c + 1}) within the current row set"
                 )
             xop = st.repair(st.pauli("X", [(head, first), (head, c)]))
-            zop = st.repair(st.pauli("Z", [(head, c), (below, c)]))
+            zop = st.pauli("Z", [(head, c), (below, c)])
             st.add_pair(xop, zop, "row", f"row {head + 1}, column {c + 1}")
 
 
 def _column_extraction(st: _State):
     """Per column dependency of the row-reduced matrix: an X-type stabilizer,
     then for each later qubit of the head column a ZZ down it and an XX right."""
-    for deps in _dependencies(st.cols, st.col_vec):
-        # full original columns, then repair (normally a no-op)
+    rows = sum(1 << r for r in st.rows)
+    for deps in _dependencies(st.cols, [m & rows for m in st.cm.col_masks]):
+        # full original columns: a stabilizer, so it commutes with every Z auxiliary
         qubits = [(r, c) for c in deps for r in range(st.cm.shape[0]) if st.entry(r, c)]
-        st.x_stabs.append(st.repair(st.pauli("X", qubits)))
+        st.x_stabs.append(st.pauli("X", qubits))
         head = deps[0]
         support = [r for r in st.rows if st.entry(r, head)]
         first = support[0]
@@ -304,9 +286,9 @@ def verify_reduced_basis(code: SubsystemCode, rb: ReducedBasis) -> VerificationR
         for j, (xa, za) in enumerate(aux):
             if not s.commutes(xa) or not s.commutes(za):
                 bad.append(f"stab {i} vs pair {j}")
-        for g in code.gauge_generators:
+        for j, g in enumerate(code.gauge_generators):
             if not s.commutes(g):
-                bad.append(f"stab {i} vs gauge generator")
+                bad.append(f"stab {i} vs gauge generator {j}")
     rep.add("stabilizers_central", not bad, "; ".join(bad))
 
     bad = []

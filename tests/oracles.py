@@ -1,16 +1,19 @@
 """Independent reference values that only the tests use: closed-form sector
 spectra of the two small benchmark codes, the dense full spectrum, the
 full-space product as per-term scatters, encoded logical words as letter
-products, minimum-weight encoding over the listed stabilizer group, the Gibbs state, the sparse kron-sum Liouvillian and exact Lindblad
-propagators."""
+products, minimum-weight encoding over the listed stabilizer group, the Gibbs state, the sparse kron-sum Liouvillian, exact Lindblad
+propagators and extraction's dependency search with its segment flush and
+a rank test on every step."""
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 
-from gaugeforge.pauli import PauliOp
+from gaugeforge.pauli import NotInSpanError, PauliOp, gf2_rank, gf2_solve
 
 
 def analytic_oracle_412(lam1, lam2, eta1, eta2, sector) -> np.ndarray:
@@ -121,3 +124,58 @@ def lindblad_propagators(jumps, dim: int, t_grid) -> list[np.ndarray]:
             D = sum(rate * (A @ E @ Ad - 0.5 * (AdA @ E + E @ AdA)) for rate, A, Ad, AdA in ops)
             L[:, i * dim + j] = D.reshape(-1)
     return [scipy.linalg.expm(t * L) for t in t_grid]
+
+
+def minimal_cover_with_free(target: int, candidates: list[int], free: list[int]):
+    """Smallest (size, then lex) subset D of ``candidates`` such that
+    target + sum(D) lies in span(free), by exhaustive search.  Returns
+    (D indices, free subset)."""
+    for size in range(len(candidates) + 1):
+        for combo in itertools.combinations(range(len(candidates)), size):
+            acc = target
+            for i in combo:
+                acc ^= candidates[i]
+            used = gf2_solve(free, acc)
+            if used is not None:
+                return combo, tuple(i for i in range(len(free)) if used >> i & 1)
+    raise NotInSpanError("top label has no dependency over the remaining labels")
+
+
+def dependencies_with_flush(order: list[int], vec):
+    """Extraction's dependency search as it was first written: test the rank
+    before every step, and move the leading segment to the bottom once its
+    span meets the rest's only in zero.  Same contract as
+    ``extraction._dependencies``."""
+    cur = 0  # length of the leading segment currently under consideration
+
+    def mat(labels):
+        return [vec[l] for l in labels]
+
+    while gf2_rank(mat(order)) < len(order):
+        if cur > 0:
+            head, rest = order[:cur], order[cur:]
+            if gf2_rank(mat(head)) + gf2_rank(mat(rest)) == gf2_rank(mat(order)):
+                order[:] = rest + head
+                cur = 0
+        if cur == 0:
+            cur = 1
+        top = order[0]
+        others = order[1:cur]
+        rest = order[cur:]
+        try:
+            D, used_free = minimal_cover_with_free(
+                vec[top], [vec[l] for l in rest], [vec[l] for l in others]
+            )
+        except NotInSpanError:
+            order[:] = order[1:] + [top]
+            cur = max(cur - 1, 0)
+            continue
+        dep_set = [rest[i] for i in D] + [top] + [others[i] for i in used_free]
+        unused = [o for i, o in enumerate(others) if i not in used_free]
+        moved = [rest[i] for i in D]
+        tail = [l for l in rest if l not in moved]
+        order[:] = moved + [top] + [others[i] for i in used_free] + unused + tail
+        cur = len(dep_set)
+        yield dep_set
+        order.pop(0)
+        cur -= 1

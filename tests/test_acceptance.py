@@ -13,6 +13,7 @@ import sys
 import time
 
 import numpy as np
+import pytest
 import scipy.sparse.linalg as spla
 
 from gaugeforge.codes import CodeMatrix, build_code, combined_matrix
@@ -291,6 +292,7 @@ def test_criterion_6_dynamics_sanity(capsys):
     assert ok
 
 
+@pytest.mark.slow
 def test_criterion_7_noise_suppression_experiments(capsys):
     start = time.monotonic()
     b = BathSpec()

@@ -74,6 +74,16 @@ def test_spectrum_closed_forms(capsys, matrices):
     assert abs(json.loads(out)["separation"] - 0.5358983848622456) < 1e-10
 
 
+def test_spectrum_weights_file_matches_uniform(capsys, matrices, tmp_path):
+    (tmp_path / "w.json").write_text(json.dumps([1, 1, 1, 1]))
+    reports = []
+    for spec in ("uniform:1", f"file:{tmp_path}/w.json"):
+        code, out, _ = run(capsys, "spectrum", matrices["m412"], "--weights", spec)
+        assert code == 0
+        reports.append({key: json.loads(out)[key] for key in ("sectors", "e0_code", "separation")})
+    assert reports[0] == reports[1]
+
+
 def test_spectrum_basis_round_trip(capsys, matrices, tmp_path):
     rb_path = tmp_path / "rb.json"
     code, _, _ = run(capsys, "code", "reduce", matrices["m622"], "--out", str(rb_path))
@@ -252,10 +262,20 @@ def test_exit_code_2_for_input_errors(capsys, tmp_path):
     pytest.param({"basis.json": {"x_stabilizers": [], "z_stabilizers": [],
                                  "aux_pairs": [["X[1,1] X[1,2]"]]}},
                  ["spectrum", "m412", "--basis", "{tmp}/basis.json"], id="basis-aux-pair"),
+    pytest.param({}, ["spectrum", "m412", "--basis", "{tmp}/missing.json"], id="basis-unreadable"),
+    pytest.param({}, ["encode-count", "{tmp}/missing.json"], id="encode-count-unreadable"),
+    pytest.param({}, ["simulate", "m412", "--initial", "foo"], id="initial"),
+    pytest.param({}, ["simulate", "m412", "--blocks", "foo"], id="blocks"),
+    pytest.param({}, ["simulate", "m412", "--metrics", "foo"], id="metrics"),
+    pytest.param({"cfg.json": b"{samples: 3"},
+                 ["--config", "{tmp}/cfg.json", "simulate", "m412"], id="config-not-json"),
+    pytest.param({"cfg.json": ["samples", 3]},
+                 ["--config", "{tmp}/cfg.json", "simulate", "m412"], id="config-list"),
 ])
 def test_exit_code_2_for_malformed_values(capsys, matrices, tmp_path, files, argv):
-    for name, value in files.items():
-        (tmp_path / name).write_text(json.dumps(value))
+    for name, value in files.items():  # bytes are written as they are, anything else as JSON
+        raw = value if isinstance(value, bytes) else json.dumps(value).encode()
+        (tmp_path / name).write_bytes(raw)
     code, out, err = run(capsys, *(matrices.get(a, a.format(tmp=tmp_path)) for a in argv))
     assert code == 2 and out == ""
     assert err.startswith("error:") and err.count("\n") == 1

@@ -9,9 +9,12 @@ from hypothesis import strategies as st
 from gaugeforge.codes import CodeMatrix, build_code
 from gaugeforge.extraction import (
     ReducedBasis,
+    _dependencies,
     extract_reduced_basis,
     verify_reduced_basis,
 )
+
+from tests.oracles import dependencies_with_flush
 
 M55 = [
     [0, 1, 0, 1, 1],
@@ -202,6 +205,23 @@ def test_property_suite_random_matrices(M):
     assert rb.num_aux == code.n - code.num_stabilizers - code.k
 
 
+@st.composite
+def labelled_vectors(draw):
+    """Up to 9 vectors of up to 9 bits, and a random order of some of their labels."""
+    bits = draw(st.integers(1, 9))
+    vecs = draw(st.lists(st.integers(0, (1 << bits) - 1), min_size=1, max_size=9))
+    return draw(st.lists(st.sampled_from(range(len(vecs))), unique=True)), vecs
+
+
+@settings(max_examples=500, deadline=None)
+@given(labelled_vectors())
+def test_dependencies_match_the_flushing_search(case):
+    order, vecs = case
+    ref_order, new_order = list(order), list(order)
+    assert list(_dependencies(new_order, vecs)) == list(dependencies_with_flush(ref_order, vecs))
+    assert new_order == ref_order
+
+
 def test_verifier_flags_broken_basis():
     cm = CodeMatrix.from_matrix([[1, 1], [1, 1]])
     code = build_code(cm)
@@ -239,7 +259,7 @@ def test_verifier_details_for_anticommuting_stabilizer():
     bad = ReducedBasis([cm.parse("X[1,1] X[1,2]")], rb.z_stabilizers, rb.aux_pairs)
     assert verify_reduced_basis(build_code(cm), bad).to_dict() == _checks(
         ("stabilizers_central",
-         "stab 0 vs pair 0; stab 0 vs gauge generator; stab 0 vs gauge generator"),
+         "stab 0 vs pair 0; stab 0 vs gauge generator 2; stab 0 vs gauge generator 3"),
         counts="got (1, 1, 1), expected (1, 1, 1)",
     )
 

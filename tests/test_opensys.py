@@ -153,6 +153,7 @@ def assert_bitwise_equal(L, ref):
     assert np.array_equal(L.data.view(float), ref.data.view(float))
 
 
+@pytest.mark.slow
 def test_liouvillian_matches_kron_oracle_bitwise():
     for M in (M412, M622, [[1, 1, 1], [1, 1, 1]]):
         code = build_code(CodeMatrix.from_matrix(M))

@@ -154,6 +154,11 @@ def test_parse_grid_coordinates():
     assert op == PauliOp(4, 0, 0b0101, 2)
 
 
+def test_parse_signed_first_token():
+    assert pauli_from_string("-Z3 Z5", 5) == PauliOp(5, 0, 0b10100, 2)
+    assert pauli_from_string("+X1", 2) == PauliOp(2, 1, 0, 0)
+
+
 def test_parse_errors():
     with pytest.raises(PauliParseError):
         pauli_from_string("Q1", 2)
