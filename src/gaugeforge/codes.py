@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .pauli import MAX_QUBITS, PauliOp, gf2_nullspace, gf2_rank, gf2_solve, pauli_from_string
+from .pauli import MAX_QUBITS, PauliOp, gf2_independent, gf2_nullspace, gf2_rank, gf2_solver, pauli_from_string
 
 DISTANCE_MAX_DIM = 20  # rows or columns; distance enumerates 2^m combinations
 
@@ -218,13 +218,8 @@ def _gauge_masks(cm: CodeMatrix, all_pairs: bool) -> tuple[list[PauliOp], list[P
 
 def _quotient_basis(space: list[int], subspace: list[int]) -> list[int]:
     """Vectors of ``space`` extending a basis of ``subspace``, greedily."""
-    acc = list(subspace)
-    out = []
-    for v in space:
-        if gf2_solve(acc, v) is None:
-            acc.append(v)
-            out.append(v)
-    return out
+    keep = gf2_independent(subspace + space) >> len(subspace)
+    return [v for i, v in enumerate(space) if keep >> i & 1]
 
 
 def build_code(cm: CodeMatrix, all_pairs: bool = False) -> SubsystemCode:
@@ -278,9 +273,10 @@ def _logical_operators(cm, k, x_gauge, z_gauge):
     # Enforce the canonical pairing <X_i, Z_j> = delta_ij: Z_i becomes the sum
     # of the Z_j picked by the solution c of P c = e_i, P[a][j] = <X_a, Z_j>.
     cols = [sum(((x & z).bit_count() & 1) << a for a, x in enumerate(lx)) for z in lz]
+    solve = gf2_solver(cols)
     pairs = []
     for i, x in enumerate(lx):
-        c = gf2_solve(cols, 1 << i)
+        c = solve(1 << i)
         if c is None:
             raise CodeError("pairing matrix is singular over GF(2)")
         zmask = 0

@@ -22,9 +22,10 @@ from .pauli import (
     NotInSpanError,
     PauliOp,
     PhaseConsistencyError,
-    express_in_basis,
+    basis_solver,
     gf2_rank,
     gf2_solve,
+    gf2_solver,
 )
 
 
@@ -120,12 +121,13 @@ def _minimal_cover_with_free(target: int, candidates: list[int], free: list[int]
     Such a D exists exactly when target lies in span(free + candidates)."""
     if gf2_solve(free + candidates, target) is None:
         raise NotInSpanError("label has no dependency over the remaining labels")
+    solve = gf2_solver(free)
     for size in range(len(candidates) + 1):
         for combo in itertools.combinations(range(len(candidates)), size):
             acc = target
             for i in combo:
                 acc ^= candidates[i]
-            used = gf2_solve(free, acc)
+            used = solve(acc)
             if used is not None:
                 return combo, tuple(i for i in range(len(free)) if used >> i & 1)
     raise ExtractionError("dependency search found no cover inside the span")  # pragma: no cover
@@ -254,10 +256,10 @@ def extract_reduced_basis(cm: CodeMatrix) -> ReducedBasis:
     )
 
 
-def _sign_failure(op: PauliOp, basis: list[PauliOp], missing: str) -> str | None:
-    """None when ``op`` is +1 times a product of ``basis``, else the reason."""
+def _sign_failure(op: PauliOp, express, missing: str) -> str | None:
+    """None when ``op`` is +1 times a product of ``express``'s basis, else the reason."""
     try:
-        _, sign = express_in_basis(op, basis)
+        _, sign = express(op)
     except NotInSpanError:
         return missing
     except PhaseConsistencyError:
@@ -301,28 +303,28 @@ def verify_reduced_basis(code: SubsystemCode, rb: ReducedBasis) -> VerificationR
     rep.add("canonical_commutation", not bad, "; ".join(bad))
 
     # every element of rb lies in the gauge group with sign +1
-    x_basis = list(code.x_gauge)
-    z_basis = list(code.z_gauge)
+    in_x_gauge = basis_solver(list(code.x_gauge))
+    in_z_gauge = basis_solver(list(code.z_gauge))
     bad = []
-    for name, op, basis in (
-        [(f"x_stab[{i}]", s, x_basis) for i, s in enumerate(rb.x_stabilizers)]
-        + [(f"z_stab[{i}]", s, z_basis) for i, s in enumerate(rb.z_stabilizers)]
-        + [(f"aux_x[{i}]", p[0], x_basis) for i, p in enumerate(aux)]
-        + [(f"aux_z[{i}]", p[1], z_basis) for i, p in enumerate(aux)]
+    for name, op, express in (
+        [(f"x_stab[{i}]", s, in_x_gauge) for i, s in enumerate(rb.x_stabilizers)]
+        + [(f"z_stab[{i}]", s, in_z_gauge) for i, s in enumerate(rb.z_stabilizers)]
+        + [(f"aux_x[{i}]", p[0], in_x_gauge) for i, p in enumerate(aux)]
+        + [(f"aux_z[{i}]", p[1], in_z_gauge) for i, p in enumerate(aux)]
     ):
-        why = _sign_failure(op, basis, "outside gauge group")
+        why = _sign_failure(op, express, "outside gauge group")
         if why:
             bad.append(f"{name}: {why}")
     rep.add("membership", not bad, "; ".join(bad))
 
     # every gauge generator decomposes over same-type rb operators, sign +1
     bad = []
-    for label, gens, basis in (
-        ("X gauge", code.x_gauge, list(rb.x_stabilizers) + rb.aux_x()),
-        ("Z gauge", code.z_gauge, list(rb.z_stabilizers) + rb.aux_z()),
+    for label, gens, express in (
+        ("X gauge", code.x_gauge, basis_solver(list(rb.x_stabilizers) + rb.aux_x())),
+        ("Z gauge", code.z_gauge, basis_solver(list(rb.z_stabilizers) + rb.aux_z())),
     ):
         for i, g in enumerate(gens):
-            why = _sign_failure(g, basis, "no decomposition")
+            why = _sign_failure(g, express, "no decomposition")
             if why:
                 bad.append(f"{label} {i}: {why}")
     rep.add("gauge_decomposition", not bad, "; ".join(bad))

@@ -203,20 +203,34 @@ def gf2_rank(vectors) -> int:
     return len(_echelon(vectors))
 
 
+def gf2_independent(vectors) -> int:
+    """Bit i set when vectors[i] is outside span(vectors[:i]); its pivot's mask has top bit i."""
+    return sum(1 << used.bit_length() - 1 for _, used in _echelon(vectors).values())
+
+
+def gf2_solver(vectors):
+    """Factor ``vectors`` once: the returned function maps each target to
+    ``gf2_solve(vectors, target)``."""
+    pivots = _echelon(vectors)
+
+    def solve(target: int) -> int | None:
+        used = 0
+        while target:
+            low = target & -target
+            if low not in pivots:
+                return None
+            pv, pused = pivots[low]
+            target ^= pv
+            used ^= pused
+        return used
+    return solve
+
+
 def gf2_solve(vectors, target: int) -> int | None:
     """Mask of ``vectors`` summing to ``target`` (bit i set when vectors[i] is
     used), or None when ``target`` is outside their span.  Vectors that depend
     on earlier ones are never used, which makes the solution unique."""
-    pivots = _echelon(vectors)
-    used = 0
-    while target:
-        low = target & -target
-        if low not in pivots:
-            return None
-        pv, pused = pivots[low]
-        target ^= pv
-        used ^= pused
-    return used
+    return gf2_solver(vectors)(target)
 
 
 def gf2_nullspace(rows, ncols: int) -> list[int]:
@@ -243,28 +257,40 @@ def gf2_nullspace(rows, ncols: int) -> list[int]:
     return basis
 
 
+def basis_solver(basis: list[PauliOp]):
+    """Factor ``basis`` once: the returned function maps each target to
+    ``express_in_basis(target, basis)``."""
+    ns = {p.n for p in basis}
+    solve = gf2_solver([p.x | p.z << p.n for p in basis])
+    factors = [(p.x, p.z, p._raw_phase()) for p in basis]
+
+    def express(target: PauliOp) -> tuple[int, int]:
+        if not basis:
+            raise NotInSpanError("empty basis")
+        if ns != {target.n}:
+            raise DimensionMismatchError(f"qubit counts differ: {target.n} vs {sorted(ns)}")
+        e = solve(target.x | target.z << target.n)
+        if e is None:
+            raise NotInSpanError("target not in the GF(2) span of the basis")
+        # PauliOp.__mul__ on raw phases (X^x Z^z order): they add, plus 2|z & x_p|
+        # per step; the product has the target's masks, so only raw phases differ
+        z = raw = 0
+        for i, (px, pz, praw) in enumerate(factors):
+            if e >> i & 1:
+                raw += praw + 2 * (z & px).bit_count()
+                z ^= pz
+        diff = (target._raw_phase() - raw) % 4
+        if diff % 2:
+            raise PhaseConsistencyError("decomposition differs from target by a factor of +/-i")
+        return e, 1 - diff  # diff 0 or 2: sign +1 or -1
+    return express
+
+
 def express_in_basis(target: PauliOp, basis: list[PauliOp]) -> tuple[int, int]:
     """Write ``target = sign * prod basis[i]^(e_i)`` (factors in basis order).
 
     Returns (e, sign): bit i of the mask ``e`` is the exponent e_i, and the
-    sign, +1 or -1, comes from explicit Pauli multiplication, never from the
-    bit solve alone.
+    sign, +1 or -1, comes from the product of the factors, never from the
+    bit solve alone.  Every operator must have the target's qubit count.
     """
-    if not basis:
-        raise NotInSpanError("empty basis")
-    n = target.n
-    e = gf2_solve([p.x | p.z << p.n for p in basis], target.x | target.z << n)
-    if e is None:
-        raise NotInSpanError("target not in the GF(2) span of the basis")
-    prod = PauliOp.identity(n)
-    for i, p in enumerate(basis):
-        if e >> i & 1:
-            prod = prod * p
-    diff = (target.phase - prod.phase) % 4
-    if diff == 0:
-        sign = 1
-    elif diff == 2:
-        sign = -1
-    else:
-        raise PhaseConsistencyError("decomposition differs from target by a factor of +/-i")
-    return e, sign
+    return basis_solver(basis)(target)

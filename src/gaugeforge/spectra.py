@@ -20,7 +20,7 @@ import scipy.sparse.linalg as spla
 
 from .codes import SubsystemCode
 from .extraction import ReducedBasis
-from .pauli import PauliOp, express_in_basis
+from .pauli import PauliOp, basis_solver
 
 
 class SpectraError(Exception):
@@ -156,13 +156,13 @@ def _decompose_terms(code: SubsystemCode, rb: ReducedBasis, weights: np.ndarray)
     qubits).  A PauliOp has at least one qubit, so with no auxiliary qubits the
     factor is the identity on one."""
     terms = []
-    x_basis = list(rb.x_stabilizers) + rb.aux_x()
-    z_basis = list(rb.z_stabilizers) + rb.aux_z()
+    express_x = basis_solver(list(rb.x_stabilizers) + rb.aux_x())
+    express_z = basis_solver(list(rb.z_stabilizers) + rb.aux_z())
     n_xs, n_zs = len(rb.x_stabilizers), len(rb.z_stabilizers)
     for idx, g in enumerate(code.gauge_generators):
         is_x = idx < len(code.x_gauge)
         ns = n_xs if is_x else n_zs
-        e, sign = express_in_basis(g, x_basis if is_x else z_basis)
+        e, sign = (express_x if is_x else express_z)(g)
         offset = 0 if is_x else n_xs
         aux = e >> ns
         terms.append((-float(weights[idx]) * sign,

@@ -2,8 +2,8 @@
 spectra of the two small benchmark codes, the dense full spectrum, the
 full-space product as per-term scatters, encoded logical words as letter
 products, minimum-weight encoding over the listed stabilizer group, the Gibbs state, the sparse kron-sum Liouvillian, exact Lindblad
-propagators and extraction's dependency search with its segment flush and
-a rank test on every step."""
+propagators, extraction's dependency search with its segment flush and
+a rank test on every step, and Pauli decomposition by explicit products."""
 
 from __future__ import annotations
 
@@ -13,7 +13,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 
-from gaugeforge.pauli import NotInSpanError, PauliOp, gf2_rank, gf2_solve
+from gaugeforge.pauli import NotInSpanError, PauliOp, PhaseConsistencyError, gf2_rank, gf2_solve
 
 
 def analytic_oracle_412(lam1, lam2, eta1, eta2, sector) -> np.ndarray:
@@ -179,3 +179,27 @@ def dependencies_with_flush(order: list[int], vec):
         yield dep_set
         order.pop(0)
         cur -= 1
+
+
+def express_by_products(target: PauliOp, basis: list[PauliOp]) -> tuple[int, int]:
+    """``pauli.express_in_basis`` with the sign read off an explicit product of
+    ``PauliOp`` factors: one bit solve against a fresh echelon form, then one
+    multiplication per factor used."""
+    if not basis:
+        raise NotInSpanError("empty basis")
+    n = target.n
+    e = gf2_solve([p.x | p.z << p.n for p in basis], target.x | target.z << n)
+    if e is None:
+        raise NotInSpanError("target not in the GF(2) span of the basis")
+    prod = PauliOp.identity(n)
+    for i, p in enumerate(basis):
+        if e >> i & 1:
+            prod = prod * p
+    diff = (target.phase - prod.phase) % 4
+    if diff == 0:
+        sign = 1
+    elif diff == 2:
+        sign = -1
+    else:
+        raise PhaseConsistencyError("decomposition differs from target by a factor of +/-i")
+    return e, sign

@@ -191,7 +191,6 @@ def code_matrices(draw, max_rows=3, max_cols=4):
     return CodeMatrix.from_matrix(M)
 
 
-@settings(deadline=None)
 @given(st.lists(code_matrices(), min_size=1, max_size=3))
 def test_composite_code_is_the_shifted_blocks(cms):
     comp = build_code(combined_matrix(cms))
@@ -215,7 +214,7 @@ def all_words(k):
     return [PauliOp(k, x, z, p) for x in range(1 << k) for z in range(1 << k) for p in range(4)]
 
 
-@settings(deadline=None, max_examples=50)
+@settings(max_examples=50)
 @given(code_matrices())
 def test_logical_operator_matches_letter_products(cm):
     code = build_code(cm)
@@ -223,7 +222,6 @@ def test_logical_operator_matches_letter_products(cm):
         assert logical_operator(code, word) == letter_logical_operator(code, word)
 
 
-@settings(deadline=None)
 @given(code_matrices(), st.data())
 def test_logical_operator_is_a_homomorphism(cm, data):
     code = build_code(cm)
@@ -303,7 +301,7 @@ def test_encode_operator_rejects_bad_assignments(term, assignment):
         encode_operator(term, assignment, two_m622_blocks())
 
 
-@settings(deadline=None, max_examples=50)
+@settings(max_examples=50)
 @given(st.lists(code_matrices(), min_size=1, max_size=2), st.data())
 def test_encode_operator_matches_listed_coset(cms, data):
     """The Gray-code walk finds the operator the listed stabilizer group gives,

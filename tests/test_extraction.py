@@ -6,6 +6,7 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gaugeforge import pauli
 from gaugeforge.codes import CodeMatrix, build_code
 from gaugeforge.extraction import (
     ReducedBasis,
@@ -192,7 +193,7 @@ def code_matrices(draw, max_dim=5):
     return M
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(code_matrices())
 def test_property_suite_random_matrices(M):
     cm = CodeMatrix.from_matrix(M)
@@ -213,13 +214,25 @@ def labelled_vectors(draw):
     return draw(st.lists(st.sampled_from(range(len(vecs))), unique=True)), vecs
 
 
-@settings(max_examples=500, deadline=None)
+@settings(max_examples=500)
 @given(labelled_vectors())
 def test_dependencies_match_the_flushing_search(case):
     order, vecs = case
     ref_order, new_order = list(order), list(order)
     assert list(_dependencies(new_order, vecs)) == list(dependencies_with_flush(ref_order, vecs))
     assert new_order == ref_order
+
+
+def test_verifier_factors_each_basis_once(monkeypatch):
+    # one echelon form per basis (x_gauge, z_gauge and the two same-type rb
+    # bases) plus span_equality's three ranks; one per solve gave 47 on M55
+    cm = CodeMatrix.from_matrix(M55)
+    code, rb = build_code(cm), extract_reduced_basis(cm)
+    calls = []
+    echelon = pauli._echelon
+    monkeypatch.setattr(pauli, "_echelon", lambda vectors: calls.append(1) or echelon(vectors))
+    assert verify_reduced_basis(code, rb).ok
+    assert len(calls) <= 7
 
 
 def test_verifier_flags_broken_basis():

@@ -167,7 +167,7 @@ def test_liouvillian_matches_kron_oracle_bitwise():
                     assert L.shape == (g.dim ** 2, g.dim ** 2) and L.nnz == 0
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(st.lists(st.sampled_from([0.0, 1.0, 2.0]), min_size=8, max_size=8),
        st.lists(st.sampled_from([0.0, 1e-9, 2e-9, 3e-9]), min_size=8, max_size=8),
        st.integers(0, 2**32 - 1))

@@ -15,13 +15,17 @@ from gaugeforge.pauli import (
     PauliOp,
     PauliParseError,
     PhaseConsistencyError,
+    basis_solver,
     express_in_basis,
+    gf2_independent,
     gf2_nullspace,
     gf2_rank,
     gf2_solve,
+    gf2_solver,
     pauli_from_string,
 )
 from gaugeforge.spectra import PauliSum
+from tests.oracles import express_by_products
 
 I2 = np.eye(2)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -238,6 +242,59 @@ def test_solve_inconsistent_returns_none(m, target):
     assert gf2_solve([0b11, 0b00], 0b01) is None
 
 
+@given(gf2_matrices(), st.lists(st.integers(0, 255), max_size=12), st.data())
+def test_factored_solver_matches_one_shot_solves(m, targets, data):
+    rows, ncols = m
+    solve = gf2_solver(rows)
+    spanned = [combine(rows, data.draw(st.integers(0, (1 << len(rows)) - 1))) for _ in range(4)]
+    for target in [t & (1 << ncols) - 1 for t in targets] + spanned:
+        assert solve(target) == gf2_solve(rows, target)
+    assert gf2_independent(rows) == sum(1 << i for i, v in enumerate(rows)
+                                        if v not in brute_span(rows[:i]))
+
+
+@st.composite
+def phased_bases(draw):
+    """(basis, targets) on a common n <= 8: up to 10 phased operators, some of
+    them products of earlier ones times a phase, and up to 6 targets, each a
+    phased product of basis operators or any operator at all."""
+    n = draw(st.integers(1, 8))
+    masks, phases = st.integers(0, (1 << n) - 1), st.integers(0, 3)
+
+    def operator(ops):
+        """A phased product of some of ``ops`` half the time, else any operator."""
+        if not (ops and draw(st.booleans())):
+            return PauliOp(n, draw(masks), draw(masks), draw(phases))
+        out = PauliOp(n, 0, 0, draw(phases))
+        for p in ops:
+            if draw(st.booleans()):
+                out = out * p
+        return out
+
+    basis = []
+    for _ in range(draw(st.integers(1, 10))):
+        basis.append(operator(basis))
+    return basis, [operator(basis) for _ in range(draw(st.integers(1, 6)))]
+
+
+def outcome(fn, *args):
+    """fn's result, or the type of the PauliError it raised."""
+    try:
+        return fn(*args)
+    except PauliError as err:
+        return type(err)
+
+
+@given(phased_bases())
+def test_express_in_basis_matches_explicit_products(case):
+    basis, targets = case
+    express = basis_solver(basis)
+    for target in targets:
+        want = outcome(express_by_products, target, basis)
+        assert outcome(express, target) == want
+        assert outcome(express_in_basis, target, basis) == want
+
+
 def test_express_in_basis_reconstructs_with_sign():
     rng = np.random.default_rng(17)
     for _ in range(100):
@@ -271,3 +328,10 @@ def test_express_in_basis_errors():
     y0 = PauliOp.single(2, "Y", 0)
     with pytest.raises(PhaseConsistencyError):
         express_in_basis(y0, [x0, PauliOp.single(2, "Z", 0)])
+    # qubit counts are checked before the solve, used in the product or not
+    with pytest.raises(DimensionMismatchError):
+        express_in_basis(PauliOp(3, 0, 0, 0), [x0])
+    with pytest.raises(DimensionMismatchError):
+        express_in_basis(PauliOp.single(3, "Z", 0), [x0, PauliOp.single(2, "X", 1)])
+    with pytest.raises(DimensionMismatchError):
+        express_in_basis(PauliOp.single(2, "X", 0), [x0, PauliOp.single(3, "X", 1)])

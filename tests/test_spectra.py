@@ -136,7 +136,7 @@ def test_sector_minimum_matches_full_ground_energy():
             assert abs(e_full - e_dense) <= 1e-12 * abs(e_dense)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(st.integers(0, 2**32 - 1), st.booleans())
 def test_full_matvec_matches_scatter_oracle_bitwise(seed, all_pairs):
     # the seed draws the matrix, so code sizes spread evenly up to 12 qubits
