@@ -377,15 +377,11 @@ def decode_logical(rho: np.ndarray, code: SubsystemCode) -> np.ndarray:
     """Logical tomography: expectation of every encoded Pauli word.  The
     result is Hermitian with unit trace but may be non-positive for states
     that leaked out of the code sector."""
-    return _decode(rho, _word_operators(code), 1 << code.k)
-
-
-def _decode(rho: np.ndarray, words, dim: int) -> np.ndarray:
-    """``decode_logical`` against the (bare, encoded) word table ``words``."""
-    out = np.zeros((dim, dim), dtype=complex)
-    for bare, enc in words:
+    k = code.k
+    out = np.zeros((1 << k, 1 << k), dtype=complex)
+    for bare, enc in _word_operators(code):
         out += np.trace(rho @ enc) * bare.conj().T
-    out /= dim
+    out /= 1 << k
     return (out + out.conj().T) / 2
 
 
@@ -452,10 +448,8 @@ def _metrics_fn(code, rho0_L, rho0, metrics, sector):
             return {"trace_distance": trace_distance(rho, rho0), "purity": purity(rho)}
         return physical
 
-    words = list(_word_operators(code))
-
     def logical(rho, t):
-        rl = _decode(rho, words, 1 << code.k)
+        rl = decode_logical(rho, code)
         m = {
             "trace_distance": trace_distance(rl, rho0_L),
             "purity": purity(_psd_normalize(rl)),
