@@ -34,18 +34,23 @@ class DistanceSizeError(CodeError):
 
 @dataclass(frozen=True)
 class CodeMatrix:
-    """Binary defining matrix plus the row-major qubit numbering."""
+    """A binary matrix as its shape and the positions of its ones, in
+    row-major order: qubit q sits at ``coords[q]``."""
 
-    matrix: np.ndarray  # uint8, shape (m_r, m_c)
+    shape: tuple[int, int]  # (m_r, m_c)
     coords: tuple[tuple[int, int], ...]  # qubit index -> (row, col), 0-based
 
     def __post_init__(self):
-        M = self.matrix
-        if M.size == 0:
+        m_r, m_c = self.shape
+        if m_r == 0 or m_c == 0:
             raise CodeFormatError("empty matrix")
-        if (M.sum(axis=1) == 0).any():
+        if not all(0 <= i < m_r and 0 <= j < m_c for i, j in self.coords):
+            raise CodeFormatError(f"coordinate outside the {m_r}x{m_c} matrix")
+        if any(a >= b for a, b in zip(self.coords, self.coords[1:])):
+            raise CodeFormatError("coordinates repeated or not in row-major order")
+        if len({i for i, _ in self.coords}) < m_r:
             raise CodeFormatError("matrix has an all-zero row")
-        if (M.sum(axis=0) == 0).any():
+        if len({j for _, j in self.coords}) < m_c:
             raise CodeFormatError("matrix has an all-zero column")
 
     @classmethod
@@ -55,22 +60,12 @@ class CodeMatrix:
             raise CodeFormatError("expected a 2D binary matrix")
         if not ((M == 0) | (M == 1)).all():
             raise CodeFormatError("matrix entries must be 0 or 1")
-        M = M.astype(np.uint8)
-        M.setflags(write=False)
-        coords = tuple((i, j) for i in range(M.shape[0]) for j in range(M.shape[1]) if M[i, j])
-        return cls(M, coords)
+        rows, cols = np.nonzero(M)
+        return cls(M.shape, tuple(zip(rows.tolist(), cols.tolist())))
 
     @property
     def n(self) -> int:
         return len(self.coords)
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.matrix.shape
-
-    @cached_property
-    def index(self) -> dict[tuple[int, int], int]:
-        return {rc: q for q, rc in enumerate(self.coords)}
 
     @cached_property
     def coord_map(self) -> dict[tuple[int, int], int]:
@@ -172,7 +167,6 @@ def distance(cm: CodeMatrix) -> int:
 @dataclass(frozen=True)
 class SubsystemCode:
     matrix: CodeMatrix
-    n: int
     k: int
     d: int
     x_gauge: tuple[PauliOp, ...]  # nearest-neighbor XX within rows
@@ -182,16 +176,16 @@ class SubsystemCode:
     logical_pairs: tuple[tuple[PauliOp, PauliOp], ...]
 
     @property
+    def n(self) -> int:
+        return self.matrix.n
+
+    @property
     def gauge_generators(self) -> tuple[PauliOp, ...]:
         return self.x_gauge + self.z_gauge
 
     @property
     def stabilizer_generators(self) -> tuple[PauliOp, ...]:
         return self.x_stabilizers + self.z_stabilizers
-
-    @property
-    def num_stabilizers(self) -> int:
-        return len(self.x_stabilizers) + len(self.z_stabilizers)
 
     def to_report(self) -> dict:
         labels = self.matrix.qubit_labels()
@@ -225,7 +219,6 @@ def _quotient_basis(space: list[int], subspace: list[int]) -> list[int]:
 def build_code(cm: CodeMatrix, all_pairs: bool = False) -> SubsystemCode:
     """Construct gauge generators, stabilizers and canonical logical pairs."""
     check_size(cm)
-    n = cm.n
     m_r, m_c = cm.shape
     k = gf2_rank(cm.row_masks)
     x_gauge, z_gauge = _gauge_masks(cm, all_pairs)
@@ -241,18 +234,15 @@ def build_code(cm: CodeMatrix, all_pairs: bool = False) -> SubsystemCode:
         qubits = [q for q, (_, c) in enumerate(cm.coords) if u >> c & 1]
         x_stabs.append(_pauli_on(cm, "X", qubits))
 
-    logical_pairs = _logical_operators(cm, k, x_gauge, z_gauge)
-    d = distance(cm)
     return SubsystemCode(
         matrix=cm,
-        n=n,
         k=k,
-        d=d,
+        d=distance(cm),
         x_gauge=tuple(x_gauge),
         z_gauge=tuple(z_gauge),
         x_stabilizers=tuple(x_stabs),
         z_stabilizers=tuple(z_stabs),
-        logical_pairs=logical_pairs,
+        logical_pairs=_logical_operators(cm, k, x_gauge, z_gauge),
     )
 
 
@@ -295,15 +285,12 @@ def combined_matrix(matrices: list[CodeMatrix]) -> CodeMatrix:
     """Block-diagonal code matrix hosting several independent blocks.  Its
     code's generators and logical pairs are those of the blocks, in block
     order, each shifted by the qubit count of the blocks before it."""
-    rows = sum(m.shape[0] for m in matrices)
-    cols = sum(m.shape[1] for m in matrices)
-    M = np.zeros((rows, cols), dtype=np.uint8)
-    r = c = 0
+    coords, r, c = [], 0, 0
     for m in matrices:
-        M[r:r + m.shape[0], c:c + m.shape[1]] = m.matrix
+        coords += [(i + r, j + c) for i, j in m.coords]
         r += m.shape[0]
         c += m.shape[1]
-    return CodeMatrix.from_matrix(M)
+    return CodeMatrix((r, c), tuple(coords))
 
 
 def logical_operator(code: SubsystemCode, word: PauliOp) -> PauliOp:

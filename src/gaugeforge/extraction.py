@@ -88,7 +88,7 @@ class _State:
         return self.cm.row_masks[r] >> c & 1
 
     def qubit(self, r: int, c: int) -> int:
-        return self.cm.index[(r, c)]
+        return self.cm.coord_map[(r + 1, c + 1)]
 
     def pauli(self, letter: str, coords) -> PauliOp:
         return _pauli_on(self.cm, letter, [self.qubit(r, c) for r, c in coords])

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .codes import SubsystemCode, logical_operator
+from .codes import SubsystemCode, combined_matrix, logical_operator
 from .pauli import PauliOp
 from .spectra import PauliSum, WeightSpec, build_full_hamiltonian
 
@@ -80,7 +80,6 @@ class DaviesGenerator:
     basis: np.ndarray                 # orthonormal eigenvectors, columns
     levels: np.ndarray                # energy level of each eigenvector, 0 = ground
     jumps: list[tuple[float, float, sp.csr_matrix]]  # (omega, rate, A(omega))
-    couplings: list[np.ndarray]       # lab-frame coupling operators
 
     @property
     def dim(self) -> int:
@@ -125,7 +124,7 @@ def davies_generator_from_h(H: np.ndarray, b: BathSpec,
             r, c, v = (np.concatenate(column) for column in zip(*parts))
             Aop = sp.csr_matrix((v, (r, c)), shape=(dim, dim))
             jumps.append((omega, bath_correlation(omega, b), Aop))
-    return DaviesGenerator(energies=E, basis=V, levels=levels, jumps=jumps, couplings=couplings)
+    return DaviesGenerator(energies=E, basis=V, levels=levels, jumps=jumps)
 
 
 def single_qubit_couplings(n: int) -> list[np.ndarray]:
@@ -495,7 +494,7 @@ def simulate_two_blocks(block_code: SubsystemCode, composite_code: SubsystemCode
     the block's encoded words W_s = E_s P_g, with C[s, f] = conj tr(rho_L (B_s (x)
     B_f)) / 4^k and block 2 slow, as in the composite's qubit order.  Only the
     4^k words are integrated; ``composite_code`` decodes and measures leakage."""
-    if composite_code.n != 2 * block_code.n or composite_code.k != 2 * block_code.k:
+    if composite_code.matrix != combined_matrix([block_code.matrix] * 2):
         raise OpenSysError("composite code is not two copies of the block code")
     _check_dense_size(composite_code, "two-block composite")
     t_grid = _time_grid(t_grid)

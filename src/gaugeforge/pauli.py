@@ -79,19 +79,8 @@ class PauliOp:
         return (self.x | self.z).bit_count()
 
     @property
-    def is_identity(self) -> bool:
-        return self.x == 0 and self.z == 0 and self.phase == 0
-
-    @property
     def is_hermitian(self) -> bool:
         return self.phase in (0, 2)
-
-    @property
-    def sign(self) -> int:
-        """+1 or -1 for Hermitian operators."""
-        if not self.is_hermitian:
-            raise PhaseConsistencyError(f"operator has phase i^{self.phase}, no real sign")
-        return 1 if self.phase == 0 else -1
 
     def _raw_phase(self) -> int:
         # exponent of i in the X^x Z^z ordering
@@ -132,21 +121,18 @@ class PauliOp:
 
 
 _TOKEN_RE = re.compile(r"^([XYZ])(?:\[(\d+)\s*,\s*(\d+)\]|(\d+))$")
+_SIGNS = {"+": 0, "i": 1, "+i": 1, "-": 2, "-i": 3}  # leading token -> phase
 
 
 def pauli_from_string(s: str, n: int, coord_map: dict[tuple[int, int], int] | None = None) -> PauliOp:
-    """Parse operator text like ``"X[1,1] X[1,2]"`` or ``"-Z3 Z5"``.
+    """Parse operator text like ``"X[1,1] X[1,2]"``, ``"-Z3 Z5"`` or ``"-i X1"``.
 
     Grid coordinates require ``coord_map`` mapping 1-based (row, col) to
     qubit index; linear labels are 1-based qubit indices.
     """
     tokens = s.split()
-    result = PauliOp.identity(n)
-    start = 0
-    if tokens and tokens[0] in ("+", "-"):
-        if tokens[0] == "-":
-            result = PauliOp(n, 0, 0, 2)
-        start = 1
+    start = 1 if tokens and tokens[0] in _SIGNS else 0
+    result = PauliOp(n, 0, 0, _SIGNS[tokens[0]] if start else 0)
     for pos, tok in enumerate(tokens[start:], start=start):
         t = tok
         if pos == start and t[:1] in "+-" and len(t) > 1:

@@ -47,8 +47,9 @@ def full_spectrum(op) -> np.ndarray:
 def scatter_matvec(code, w, v: np.ndarray) -> np.ndarray:
     """-sum_G w_G (G v) for pure-type gauge generators, one fancy-index
     scatter per nonzero weight in generator order:
-    out[i ^ x] += (-w sign) * ((-1)^{|i & z|} v[i]), the sign taken as the
-    product of 1 - 2 i_q over the qubits q of z.  Every output entry gets the
+    out[i ^ x] += (-w s) * ((-1)^{|i & z|} v[i]), with s = 1 - phase the sign
+    of the Hermitian generator and (-1)^{|i & z|} taken as the product of
+    1 - 2 i_q over the qubits q of z.  Every output entry gets the
     same products in the same order as the ``PauliSum`` matvec, so the two
     must agree bit for bit."""
     idx = np.arange(v.size)
@@ -57,7 +58,7 @@ def scatter_matvec(code, w, v: np.ndarray) -> np.ndarray:
         if wt != 0:
             signs = np.prod([1 - 2 * (idx >> q & 1) for q in range(code.n) if g.z >> q & 1],
                             axis=0)
-            out[idx ^ g.x] += -wt * g.sign * (signs * v)
+            out[idx ^ g.x] += -wt * (1 - g.phase) * (signs * v)
     return out
 
 

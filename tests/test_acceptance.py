@@ -29,6 +29,7 @@ from gaugeforge.opensys import (
     evolve,
     simulate_code,
     simulate_two_blocks,
+    single_qubit_couplings,
     trace_distance,
 )
 from gaugeforge.spectra import (
@@ -241,7 +242,7 @@ def test_criterion_5_davies_identities(capsys):
     w = WeightSpec.uniform(lam, 4)
     g = davies_generator(code, w, b)
     recon = sum(A.toarray() for _, _, A in g.jumps)
-    target = sum(g.basis.conj().T @ A @ g.basis for A in g.couplings)
+    target = sum(g.basis.conj().T @ A @ g.basis for A in single_qubit_couplings(code.n))
     completeness = float(np.abs(recon - target).max())
     balance_exact = all(
         bath_correlation(-abs(omega), b)

@@ -50,7 +50,8 @@ def test_code_matrix_basics():
     cm = CodeMatrix.from_matrix(M412)
     assert cm.n == 4
     assert cm.shape == (2, 2)
-    assert cm.index == {(0, 0): 0, (0, 1): 1, (1, 0): 2, (1, 1): 3}
+    assert cm.coords == ((0, 0), (0, 1), (1, 0), (1, 1))
+    assert cm.coord_map == {(1, 1): 0, (1, 2): 1, (2, 1): 2, (2, 2): 3}
     assert cm.qubit_labels() == ["[1,1]", "[1,2]", "[2,1]", "[2,2]"]
     assert cm.row_qubits(0) == [0, 1]
     assert cm.col_qubits(1) == [1, 3]
@@ -63,6 +64,35 @@ def test_code_matrix_rejects_zero_lines():
         CodeMatrix.from_matrix([[1, 1], [0, 0]])
     with pytest.raises(CodeFormatError):
         CodeMatrix.from_matrix([[1, 0], [1, 0]])
+
+
+def test_code_objects_compare_and_hash_by_value():
+    a, b = CodeMatrix.from_matrix(M622), CodeMatrix.from_matrix(np.array(M622, dtype=bool))
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert a == CodeMatrix((3, 3), ((0, 0), (0, 1), (1, 1), (1, 2), (2, 0), (2, 2)))
+    assert a != CodeMatrix.from_matrix(M412)
+    code = build_code(a)
+    assert code == build_code(b) and hash(code) == hash(build_code(b))
+    wide = CodeMatrix.from_matrix([[1, 1, 1], [1, 1, 1]])
+    assert build_code(wide) != build_code(wide, all_pairs=True)
+    assert len({code, build_code(b), build_code(CodeMatrix.from_matrix(M412))}) == 2
+
+
+@pytest.mark.parametrize("shape, coords, message", [
+    ((0, 2), (), "empty"),
+    ((2, 0), (), "empty"),
+    ((1, 2), ((0, 0), (0, 2)), "outside"),
+    ((1, 2), ((0, 0), (-1, 1)), "outside"),
+    ((1, 2), ((0, 0), (0, 0), (0, 1)), "repeated"),
+    ((2, 2), ((0, 1), (0, 0), (1, 0), (1, 1)), "row-major"),
+    ((2, 2), ((1, 0), (1, 1), (0, 0), (0, 1)), "row-major"),
+    ((2, 2), ((0, 0), (0, 1)), "all-zero row"),
+    ((2, 2), ((0, 0), (1, 0)), "all-zero column"),
+], ids=["no-rows", "no-columns", "column-past-end", "negative-row", "repeated", "column-order",
+        "row-order", "zero-row", "zero-column"])
+def test_code_matrix_rejects_inconsistent_coordinates(shape, coords, message):
+    with pytest.raises(CodeFormatError, match=message):
+        CodeMatrix(shape, coords)
 
 
 def test_load_code_matrix_formats():
@@ -118,7 +148,7 @@ def test_six_qubit_code_parameters():
     code = build_code(CodeMatrix.from_matrix(M622))
     assert (code.n, code.k, code.d) == (6, 2, 2)
     assert len(code.x_gauge) == 3 and len(code.z_gauge) == 3
-    assert code.num_stabilizers == 2
+    assert len(code.stabilizer_generators) == 2
 
 
 def test_sixteen_qubit_code_parameters():
@@ -126,7 +156,7 @@ def test_sixteen_qubit_code_parameters():
     assert (code.n, code.k, code.d) == (16, 2, 3)
     # 11 nearest-neighbor XX along rows, 11 ZZ along columns
     assert len(code.x_gauge) == 11 and len(code.z_gauge) == 11
-    assert code.num_stabilizers == 6
+    assert len(code.stabilizer_generators) == 6
 
 
 def brute_rank(M):
@@ -140,7 +170,9 @@ def brute_rank(M):
 
 def assert_code_consistent(code):
     assert code.n == code.matrix.n
-    assert code.k == brute_rank(code.matrix.matrix)
+    M = np.zeros(code.matrix.shape, dtype=int)
+    M[tuple(zip(*code.matrix.coords))] = 1
+    assert code.k == brute_rank(M)
     for s in code.stabilizer_generators:
         for g in code.gauge_generators:
             assert s.commutes(g)
@@ -239,7 +271,7 @@ def test_to_report_shape():
 def test_one_by_one_matrix():
     code = build_code(CodeMatrix.from_matrix([[1]]))
     assert (code.n, code.k, code.d) == (1, 1, 1)
-    assert code.num_stabilizers == 0
+    assert len(code.stabilizer_generators) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +354,7 @@ def test_encode_operator_memory_does_not_grow_with_the_stabilizer_group():
     """Four 3 x 3 all-ones blocks have 16 stabilizers: listing the 65,536
     elements of the group took 11 MB, the walk keeps one element."""
     code = build_code(combined_matrix([CodeMatrix.from_matrix(np.ones((3, 3)))] * 4))
-    assert code.num_stabilizers == 16
+    assert len(code.stabilizer_generators) == 16
     tracemalloc.start()
     try:
         op, w = encode_operator("Z1 Z2", {0: 0, 1: 3}, code)

@@ -203,7 +203,7 @@ def test_property_suite_random_matrices(M):
     assert report.ok, report.violations
     assert len(rb.x_stabilizers) == cm.shape[1] - code.k
     assert len(rb.z_stabilizers) == cm.shape[0] - code.k
-    assert rb.num_aux == code.n - code.num_stabilizers - code.k
+    assert rb.num_aux == code.n - len(code.stabilizer_generators) - code.k
 
 
 @st.composite

@@ -107,7 +107,7 @@ def test_jump_operator_completeness_and_adjoints():
     b = BathSpec()
     g = davies_generator(code, w, b)
     recon = sum(A.toarray() for _, _, A in g.jumps)
-    target = sum(g.basis.conj().T @ A @ g.basis for A in g.couplings)
+    target = sum(g.basis.conj().T @ A @ g.basis for A in single_qubit_couplings(code.n))
     assert np.abs(recon - target).max() < 1e-12
     by_omega = {}
     for omega, rate, A in g.jumps:
@@ -456,6 +456,11 @@ def test_two_block_shape_guard():
         simulate_two_blocks(block, block, np.kron(PLUS, PLUS), 1.0, BathSpec(),
                             np.linspace(0, 1e-9, 2))
     comp = build_code(combined_matrix([cm, cm]))
+    # same n and k as two copies of the block, but a different second block
+    other = build_code(combined_matrix([cm, CodeMatrix.from_matrix([[1, 1, 1, 1]])]))
+    assert (other.n, other.k) == (comp.n, comp.k)
+    with pytest.raises(OpenSysError, match="two copies"):
+        simulate_two_blocks(block, other, BELL, 1.0, BathSpec(), np.linspace(0, 1e-9, 2))
     with pytest.raises(EncodingError, match="logical state must be 4x4"):
         simulate_two_blocks(block, comp, PLUS, 1.0, BathSpec(), np.linspace(0, 1e-9, 2))
     for grid in ([], [1e-9, 2e-9], [0, 2e-9, 1e-9], [0, np.nan], [0, np.inf]):

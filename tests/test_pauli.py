@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from gaugeforge.codes import CodeMatrix
 from gaugeforge.opensys import pauli_matrix
 from gaugeforge.pauli import (
     DimensionMismatchError,
@@ -111,10 +112,10 @@ def test_commutes_matches_dense_oracle(ops):
 
 def test_hermitian_phase_convention():
     y = PauliOp.single(3, "Y", 1)
-    assert y.is_hermitian and y.sign == 1
+    assert y.is_hermitian and y.phase == 0
     assert np.allclose(dense(y), dense(y).conj().T)
     yy = y * y
-    assert yy.is_identity
+    assert yy == PauliOp.identity(3)
 
 
 def test_weight_and_masks():
@@ -139,15 +140,28 @@ def test_constructor_validation():
         PauliOp(2, 0, 0, 5)
 
 
-def test_string_round_trip_linear_labels():
-    rng = np.random.default_rng(3)
-    for _ in range(50):
-        n = int(rng.integers(1, 6))
-        op = random_op(rng, n)
-        if not op.is_hermitian:
-            continue
-        back = pauli_from_string(op.to_string(), n)
-        assert back == op
+@given(pauli_ops(1, max_n=8))
+def test_string_round_trip_linear_labels(ops):
+    (op,) = ops
+    assert pauli_from_string(op.to_string(), op.n) == op
+
+
+@st.composite
+def grid_ops(draw):
+    """A code matrix of at most 3x3 without zero lines and a phased operator on its qubits."""
+    m_r, m_c = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    M = np.array(draw(st.lists(st.booleans(), min_size=m_r * m_c, max_size=m_r * m_c)))
+    M = M.reshape(m_r, m_c)
+    assume(M.any(axis=0).all() and M.any(axis=1).all())
+    cm = CodeMatrix.from_matrix(M.astype(int))
+    masks = st.integers(0, (1 << cm.n) - 1)
+    return cm, PauliOp(cm.n, draw(masks), draw(masks), draw(st.integers(0, 3)))
+
+
+@given(grid_ops())
+def test_string_round_trip_grid_labels(case):
+    cm, op = case
+    assert cm.parse(op.to_string(cm.qubit_labels())) == op
 
 
 def test_parse_grid_coordinates():
@@ -161,6 +175,9 @@ def test_parse_grid_coordinates():
 def test_parse_signed_first_token():
     assert pauli_from_string("-Z3 Z5", 5) == PauliOp(5, 0, 0b10100, 2)
     assert pauli_from_string("+X1", 2) == PauliOp(2, 1, 0, 0)
+    for text, phase in (("i", 1), ("+i", 1), ("-", 2), ("-i", 3)):
+        assert pauli_from_string(f"{text} X1 Z2 Y3", 3) == PauliOp(3, 0b101, 0b110, phase)
+    assert pauli_from_string("-i I", 2) == PauliOp(2, 0, 0, 3)
 
 
 def test_parse_errors():
