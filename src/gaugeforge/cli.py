@@ -252,6 +252,11 @@ def cmd_simulate(args, cfg) -> int:
                          "must be finite and positive")
 
     code = build_code(cm)
+    try:  # the weights each simulation builds: a sum that overflows fails here, not in eigh
+        for g in gamma_list:
+            opensys.suppressing_weights(code, g, bath)
+    except spectra.SpectraError as exc:
+        raise InputError(f"bad --gamma {gammas!r}: {exc}") from exc
     rho_L = opensys.PLUS if initial == "plusL" else opensys.BELL
     t_grid = np.linspace(0.0, t_max, samples)
     k = 2 * code.k if blocks == "separate" else code.k

@@ -13,9 +13,12 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 from .codes import SubsystemCode, combined_matrix, logical_operator
 from .pauli import PauliOp
@@ -94,6 +97,7 @@ class DaviesGenerator:
 
 def davies_generator_from_h(H: np.ndarray, b: BathSpec,
                             couplings: list[np.ndarray]) -> DaviesGenerator:
+    import scipy.sparse as sp  # here, so that importing gaugeforge loads no scipy
     dim = H.shape[0]
     if dim > 1024:
         raise OpenSysError("dense eigendecomposition limited to dimension 1024")
@@ -152,6 +156,7 @@ def lindblad_superoperator(g: DaviesGenerator) -> sp.csr_matrix:
     jump in dense tiles of the realigned R[(i, j), (k, l)] = L[(i, k), (j, l)] (see
     DECISIONS.md).  Each entry gets the float operations of the sparse kron sum of the
     formula in their order, so L is bit-identical to that sum."""
+    import scipy.sparse as sp
     d, lv = g.dim, g.levels
     n = np.bincount(lv)
     s, nl = np.cumsum(n) - n, n.size
@@ -469,7 +474,7 @@ def _psd_normalize(rho):
     return (vecs * (vals / vals.sum())) @ vecs.conj().T
 
 
-def _suppressing_weights(code: SubsystemCode, gamma: float, bath: BathSpec) -> WeightSpec:
+def suppressing_weights(code: SubsystemCode, gamma: float, bath: BathSpec) -> WeightSpec:
     """H = -lambda * sum(G) with lambda = gamma * omega_T."""
     return WeightSpec.uniform(gamma * bath.omega_T, len(code.gauge_generators))
 
@@ -479,7 +484,7 @@ def simulate_code(code: SubsystemCode, rho_L: np.ndarray, gamma: float,
     """Single-block simulation: encode, build the Davies generator for
     H = -lambda * sum(G) with lambda = gamma * omega_T, evolve, measure."""
     _check_dense_size(code)
-    w = _suppressing_weights(code, gamma, bath)
+    w = suppressing_weights(code, gamma, bath)
     sector = code_sector_projector(code)
     rho0 = encode_state(rho_L, code, w, sector)
     g = davies_generator(code, w, bath)
@@ -501,7 +506,7 @@ def simulate_two_blocks(block_code: SubsystemCode, composite_code: SubsystemCode
     dim_L = 1 << composite_code.k
     if rho_L.shape != (dim_L, dim_L):
         raise EncodingError(f"logical state must be {dim_L}x{dim_L}")
-    w = _suppressing_weights(block_code, gamma, bath)
+    w = suppressing_weights(block_code, gamma, bath)
     Pg = ground_projector(block_code, w, code_sector_projector(block_code))
     bare, enc = zip(*_word_operators(block_code))
     C = np.array([[np.trace(rho_L @ np.kron(Bs, Bf)).conjugate() for Bf in bare]

@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
 from .codes import SubsystemCode
 from .extraction import ReducedBasis
@@ -43,8 +42,8 @@ class WeightSpec:
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float)
-        if w.size == 0 or not np.all(np.isfinite(w)):
-            raise SpectraError("weights must be a nonempty finite sequence")
+        if w.size == 0 or not math.isfinite(sum(np.abs(w).tolist())):
+            raise SpectraError("weights must be a nonempty sequence with a finite absolute sum")
         if not np.any(w != 0):
             raise SpectraError("at least one weight must be nonzero")
 
@@ -102,7 +101,7 @@ def z_signs(z: int, n: int) -> np.ndarray:
     return 1.0 - 2.0 * (parity & 1)
 
 
-class PauliSum(spla.LinearOperator):
+class PauliSum:
     """sum_t c_t P_t on ``n`` qubits (qubit 0 = fastest bit), from (c, PauliOp) pairs.
 
     Each term is compiled once into c i^r X^x Z^z, with r the raw phase of P:
@@ -126,7 +125,10 @@ class PauliSum(spla.LinearOperator):
             self._terms.append((c * (-1.0) ** (r // 2) if dtype is float else c * 1j ** r, op.x,
                                 z_signs(op.z, n) if op.z else 1.0,
                                 tuple(n - 1 - q for q in range(n) if op.x >> q & 1)))
-        super().__init__(dtype=dtype, shape=(1 << n, 1 << n))
+        self.shape, self.dtype = (1 << n, 1 << n), np.dtype(dtype)
+
+    def matvec(self, v):
+        return self._matvec(v)
 
     def _matvec(self, v):
         """One term at a time, in order: multiply v by the Z diagonal, flip the
@@ -186,7 +188,7 @@ def sector_spectra(code: SubsystemCode, rb: ReducedBasis, w: WeightSpec):
     for sector in itertools.product((1, -1), repeat=n_stabs):
         H = aux_sum.dense([math.prod(sector[s] for s in stabs) for _, stabs, _ in terms])
         scale = max(np.abs(H).max(), 1.0)
-        if np.abs(H - H.T).max() > 1e-12 * scale:
+        if not np.abs(H - H.T).max() <= 1e-12 * scale:  # NaN fails too
             raise SpectraError(f"sector {sector} Hamiltonian is not symmetric")
         yield sector, np.linalg.eigvalsh(H)
 
@@ -226,10 +228,13 @@ def build_full_hamiltonian(code: SubsystemCode, w: WeightSpec) -> PauliSum:
 
 def full_ground_energy(op: PauliSum) -> float:
     """Lowest eigenvalue, by an iterative extremal (Lanczos-type) solve with a
-    deterministic start."""
+    deterministic start.  It reads ``op._matvec`` at the call, so a wrapper set on
+    the instance sees every product."""
+    import scipy.sparse.linalg as spla  # here, so that importing gaugeforge loads no scipy
     v0 = np.random.default_rng(0).standard_normal(op.shape[0])
+    A = spla.LinearOperator(op.shape, matvec=op._matvec, dtype=op.dtype)
     try:
-        vals = spla.eigsh(op, k=1, which="SA", v0=v0, tol=1e-8, maxiter=10000,
+        vals = spla.eigsh(A, k=1, which="SA", v0=v0, tol=1e-8, maxiter=10000,
                           return_eigenvectors=False)
     except spla.ArpackNoConvergence as exc:
         raise ConvergenceError(f"iterative eigensolver failed to converge: {exc}") from exc

@@ -206,6 +206,11 @@ def test_exit_code_2_for_input_errors(capsys, tmp_path):
     pytest.param({"cfg.json": {"gamma": float("inf")}},
                  ["--config", "{tmp}/cfg.json", "simulate", "m412"], id="config-gamma-inf"),
     pytest.param({}, ["simulate", "m412", "--gamma", "-1.2"], id="gamma-negative"),
+    pytest.param({}, ["simulate", "m412", "--gamma", "5e298"], id="gamma-sum-overflow"),
+    pytest.param({}, ["spectrum", "m412", "--weights", "uniform:1e308"],
+                 id="weights-sum-overflow"),
+    pytest.param({}, ["spectrum", "m412", "--weights", "uniform:1e308", "--full-check"],
+                 id="weights-sum-overflow-full-check"),
     pytest.param({"cfg.json": {"gamma": -0.5}},
                  ["--config", "{tmp}/cfg.json", "simulate", "m622", "--initial", "bell"],
                  id="config-gamma-negative"),
@@ -499,3 +504,34 @@ def test_reports_match_golden_digests(matrices, tmp_path):
     assert proc.returncode == 0, proc.stderr
     got = dict(zip(GOLDEN_REPORTS, proc.stdout.split("\n")))
     assert got == {key: f"0 {digest}" for key, digest in GOLDEN_REPORTS.items()}
+
+
+SCIPY_GUARD = """
+import json, sys
+from gaugeforge.cli import main
+m, problem, out = sys.argv[1:]
+for commands in ([["code", "info", m], ["code", "reduce", m], ["spectrum", m],
+                  ["encode-count", problem]],
+                 [["spectrum", m, "--full-check"],
+                  ["simulate", m, "--t-max", "1e-10", "--samples", "2"]]):
+    for argv in commands:
+        if main(argv + ["--out", out]) != 0:
+            sys.exit(f"{argv} failed")
+    print(json.dumps(sorted(k for k in sys.modules if k.split(".")[0] == "scipy")))
+"""
+
+
+def test_scipy_loads_only_for_the_full_check_and_simulate(matrices, tmp_path):
+    # a fresh process, as the test session may have imported scipy already
+    problem = tmp_path / "problem.json"
+    problem.write_text(json.dumps(PROBLEMS["three-blocks"]))
+    src = str(Path(gaugeforge.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", SCIPY_GUARD, matrices["m412"], str(problem),
+                           str(tmp_path / "out")], env=env, capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    before, after = (json.loads(line) for line in proc.stdout.splitlines())
+    assert before == []
+    assert {"scipy.sparse", "scipy.sparse.linalg"} <= set(after)

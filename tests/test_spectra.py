@@ -51,6 +51,8 @@ def test_weight_spec_validation():
         WeightSpec.explicit([0.0, 0.0])
     with pytest.raises(SpectraError):
         WeightSpec.explicit([float("nan")])
+    with pytest.raises(SpectraError, match="finite absolute sum"):  # each weight is finite
+        WeightSpec.explicit([1e308, -1e308])
     code, _ = make(M412)
     with pytest.raises(SpectraError):
         WeightSpec.uniform(1.0, 3).for_code(code)
@@ -159,6 +161,18 @@ def test_full_matvec_matches_scatter_oracle_bitwise(seed, all_pairs):
     assert np.abs(got - op.dense() @ v).max() <= 1e-12 * np.abs(weights).max()
 
 
+def test_full_ground_energy_calls_the_instance_matvec():
+    # a benchmark counts the solver's products by wrapping ``_matvec`` on the instance
+    code, _ = make(M412)
+    w = WeightSpec.uniform(1.0, 4)
+    want = full_ground_energy(build_full_hamiltonian(code, w))
+    op, calls = build_full_hamiltonian(code, w), []
+    matvec = op._matvec
+    op._matvec = lambda v: calls.append(1) or matvec(v)
+    got = full_ground_energy(op)
+    assert calls and np.float64(got).view(np.int64) == np.float64(want).view(np.int64)
+
+
 def test_full_hamiltonian_rejects_imaginary_raw_phase():
     code, _ = make(M412)
     # Y = i X Z: Hermitian, but its X^x Z^z action carries a factor i
@@ -214,10 +228,10 @@ def test_all_pairs_convention_changes_energy_not_code():
 
 def test_sector_spectrum_rejects_non_symmetric_matrix(monkeypatch):
     code, rb = make(M412)
-    monkeypatch.setattr(spectra.PauliSum, "dense",
-                        lambda self, scale=None: np.array([[0.0, 1.0], [0.0, 0.0]]))
-    with pytest.raises(SpectraError, match="not symmetric"):
-        energy_separation(code, rb, WeightSpec.uniform(1.0, 4))
+    for H in ([[0.0, 1.0], [0.0, 0.0]], [[math.nan, 0.0], [0.0, 0.0]]):
+        monkeypatch.setattr(spectra.PauliSum, "dense", lambda self, scale=None: np.array(H))
+        with pytest.raises(SpectraError, match="not symmetric"):
+            energy_separation(code, rb, WeightSpec.uniform(1.0, 4))
 
 
 def test_sector_spectra_order_and_code_sector_first():
