@@ -142,14 +142,28 @@ def _reduced_basis_report(cm: CodeMatrix, rb: extraction.ReducedBasis) -> dict:
 
 
 def _reduced_basis_from_report(cm: CodeMatrix, rep: dict) -> extraction.ReducedBasis:
+    def parse(s):
+        if not isinstance(s, str):
+            raise InputError(f"malformed reduced-basis file: operator {s!r} is not a string")
+        return cm.parse(s)
+
     try:
         return extraction.ReducedBasis(
-            x_stabilizers=[cm.parse(s) for s in rep["x_stabilizers"]],
-            z_stabilizers=[cm.parse(s) for s in rep["z_stabilizers"]],
-            aux_pairs=[(cm.parse(x), cm.parse(z)) for x, z in rep["aux_pairs"]],
+            x_stabilizers=[parse(s) for s in rep["x_stabilizers"]],
+            z_stabilizers=[parse(s) for s in rep["z_stabilizers"]],
+            aux_pairs=[(parse(x), parse(z)) for x, z in rep["aux_pairs"]],
         )
     except (KeyError, TypeError, ValueError, PauliError) as exc:
         raise InputError(f"malformed reduced-basis file: {exc}") from exc
+
+
+def _gauged_code(cm: CodeMatrix, all_pairs: bool = False):
+    """The code of ``cm`` for spectra and simulations, which need a gauge generator."""
+    code = build_code(cm, all_pairs=all_pairs)
+    if not code.gauge_generators:
+        raise InputError("the code has no gauge generators (no row or column of the matrix "
+                         "holds two 1s), so it has no suppressing Hamiltonian")
+    return code
 
 
 def cmd_code_info(args, cfg) -> int:
@@ -183,7 +197,7 @@ def cmd_reduce(args, cfg) -> int:
 
 def cmd_spectrum(args, cfg) -> int:
     cm, digest = _read_matrix(args.matrix)
-    code = build_code(cm, all_pairs=args.all_pairs)
+    code = _gauged_code(cm, all_pairs=args.all_pairs)
     w = _parse_weights(args.weights, code)
     try:  # a code past the full-space limit is refused before any sector work
         full = spectra.build_full_hamiltonian(code, w) if args.full_check else None
@@ -251,7 +265,7 @@ def cmd_simulate(args, cfg) -> int:
         raise InputError(f"bad --gamma {gammas!r}: each weight times omega_T "
                          "must be finite and positive")
 
-    code = build_code(cm)
+    code = _gauged_code(cm)
     try:  # the weights each simulation builds: a sum that overflows fails here, not in eigh
         for g in gamma_list:
             opensys.suppressing_weights(code, g, bath)

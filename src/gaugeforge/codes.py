@@ -110,12 +110,10 @@ def load_code_matrix(text: str) -> CodeMatrix:
         if not data:
             continue
         bits = data.split() if " " in data or "\t" in data else list(data)
-        try:
-            row = [int(b) for b in bits]
-        except ValueError:
-            raise CodeFormatError(f"line {lineno}: non-binary character in {data!r}")
-        if any(b not in (0, 1) for b in row):
-            raise CodeFormatError(f"line {lineno}: entries must be 0 or 1")
+        if any(b not in ("0", "1") for b in bits):  # int() would also read "01", "+1", "\u0661"
+            raise CodeFormatError(f"line {lineno}: entries must be the characters 0 and 1 "
+                                  f"in {data!r}")
+        row = [int(b) for b in bits]
         if width is None:
             width = len(row)
         elif len(row) != width:

@@ -49,6 +49,8 @@ class BathSpec:
         if not (0 <= self.chi < math.inf and 0 < self.omega_c < math.inf
                 and 0 < self.omega_T < math.inf):
             raise OpenSysError("bath parameters must be finite and positive (chi may be zero)")
+        if not math.isfinite(2 * math.pi * self.chi * (self.omega_c + self.omega_T)):
+            raise OpenSysError("the rate scale 2 pi chi (omega_c + omega_T) must be finite")
 
 
 def bath_correlation(omega: float, b: BathSpec) -> float:
@@ -105,6 +107,8 @@ def davies_generator_from_h(H: np.ndarray, b: BathSpec,
     if np.abs(H - H.conj().T).max() > 1e-12 * scale:
         raise OpenSysError("Hamiltonian not Hermitian")
     E, V = np.linalg.eigh(H)
+    if not math.isfinite(float(E[-1]) - float(E[0])):  # the spread bounds every Bohr frequency
+        raise OpenSysError("the energies span more than the float range: Bohr frequencies overflow")
     tol = 1e-9 * scale
     levels, low = np.zeros(dim, dtype=np.int64), E[0]
     for i in range(1, dim):  # a level holds the eigenvalues within tol of its lowest one
@@ -125,9 +129,12 @@ def davies_generator_from_h(H: np.ndarray, b: BathSpec,
             rows, cols = np.nonzero(np.abs(block) > 1e-14)
             by_omega.setdefault(key, []).append((ga[rows], gb[cols], block[rows, cols]))
         for omega, parts in by_omega.items():
+            rate = bath_correlation(omega, b)
+            if not math.isfinite(rate):
+                raise OpenSysError(f"Bohr frequency {omega} has rate {rate}, which must be finite")
             r, c, v = (np.concatenate(column) for column in zip(*parts))
             Aop = sp.csr_matrix((v, (r, c)), shape=(dim, dim))
-            jumps.append((omega, bath_correlation(omega, b), Aop))
+            jumps.append((omega, rate, Aop))
     return DaviesGenerator(energies=E, basis=V, levels=levels, jumps=jumps)
 
 
@@ -245,22 +252,37 @@ def _step_bound(g: DaviesGenerator) -> float:
 
 
 def _propagate(g: DaviesGenerator, y, t_grid: np.ndarray):
-    """Fixed-step RK4 for dy/dt = L y, L the Liouvillian of ``g``; ``y`` is a
-    vector or a matrix of column vectors.  Yields ``y`` after each span of
-    ``t_grid``, stepped in the fewest equal steps within the step bound."""
-    L = lindblad_superoperator(g)
-    h_max = _step_bound(g)
+    """Fixed-step RK4 for dy/dt = L y, L the Liouvillian of ``g``, on a vector or a matrix of
+    column vectors ``y``: yields a complex copy of ``y`` after each span of ``t_grid``, stepped
+    in the fewest equal steps within the step bound.  The steps run in place, in real arithmetic
+    where L and ``y`` are real, each bit that of complex L @ y and y + h/6 (k1 + 2k2 + 2k3 + k4)."""
+    from scipy.sparse._sparsetools import csr_matvec, csr_matvecs  # L @ y without its dispatch
+    L, h_max = lindblad_superoperator(g), _step_bound(g)
+    # L runs real unless y is a complex vector, which csr_matvec takes faster as complex data
+    data = L.data if L.data.imag.any() or (y.ndim == 1 and y.imag.any()) else L.data.real.copy()
+    real = data.dtype == float and not y.imag.any()
+    y = y.real.astype(float, order="C") if real else y.astype(complex, order="C")
+    k1, k2, k3, k4, tmp = (np.empty_like(y) for _ in range(5))
+    n, cols = L.shape[0], k1.view(data.dtype).size // L.shape[0]  # complex y, real L: re, im
+    kernel, shape = (csr_matvec, (n, n)) if cols == 1 else (csr_matvecs, (n, n, cols))
+
+    def apply(x, out):  # out = L x by the kernel L @ x calls, which adds into out
+        out.fill(0)
+        kernel(*shape, L.indptr, L.indices, data, x.view(data.dtype), out.view(data.dtype))
+
     for span in np.diff(t_grid):
         if span > 0:
             steps = max(1, int(math.ceil(span / h_max))) if np.isfinite(h_max) else 1
             h = span / steps
-            for _ in range(steps):
-                k1 = L @ y
-                k2 = L @ (y + 0.5 * h * k1)
-                k3 = L @ (y + 0.5 * h * k2)
-                k4 = L @ (y + h * k3)
-                y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        yield y
+            for _ in range(steps):  # each scalar multiplies from the left, as in the formula
+                apply(y, k1)
+                apply(np.add(y, np.multiply(0.5 * h, k1, out=tmp), out=tmp), k2)
+                apply(np.add(y, np.multiply(0.5 * h, k2, out=tmp), out=tmp), k3)
+                apply(np.add(y, np.multiply(h, k3, out=tmp), out=tmp), k4)
+                np.add(k1, np.multiply(2, k2, out=k2), out=k1)
+                np.add(np.add(k1, np.multiply(2, k3, out=k3), out=k1), k4, out=k1)
+                np.add(y, np.multiply(h / 6.0, k1, out=k1), out=y)
+        yield y.astype(complex)
 
 
 def _check_state(rho: np.ndarray, t: float):

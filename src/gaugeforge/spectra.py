@@ -42,8 +42,10 @@ class WeightSpec:
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float)
-        if w.size == 0 or not math.isfinite(sum(np.abs(w).tolist())):
-            raise SpectraError("weights must be a nonempty sequence with a finite absolute sum")
+        # eigenvalues lie in [-S, S] for the absolute sum S, so their differences need 2S finite
+        if w.size == 0 or not math.isfinite(2 * sum(np.abs(w).tolist())):
+            raise SpectraError("weights must be a nonempty sequence with a finite absolute sum "
+                               "S and a finite 2S")
         if not np.any(w != 0):
             raise SpectraError("at least one weight must be nonzero")
 

@@ -1,18 +1,22 @@
 """Independent reference values that only the tests use: closed-form sector
 spectra of the two small benchmark codes, the dense full spectrum, the
 full-space product as per-term scatters, encoded logical words as letter
-products, minimum-weight encoding over the listed stabilizer group, the Gibbs state, the sparse kron-sum Liouvillian, exact Lindblad
-propagators, extraction's dependency search with its segment flush and
-a rank test on every step, and Pauli decomposition by explicit products."""
+products, minimum-weight encoding over the listed stabilizer group, the
+Gibbs state, the sparse kron-sum Liouvillian, exact Lindblad propagators,
+the RK4 loop in complex arithmetic, extraction's dependency search with its
+segment flush and a rank test on every step, and Pauli decomposition by
+explicit products."""
 
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 
+from gaugeforge.opensys import _step_bound, lindblad_superoperator
 from gaugeforge.pauli import NotInSpanError, PauliOp, PhaseConsistencyError, gf2_rank, gf2_solve
 
 
@@ -125,6 +129,25 @@ def lindblad_propagators(jumps, dim: int, t_grid) -> list[np.ndarray]:
             D = sum(rate * (A @ E @ Ad - 0.5 * (AdA @ E + E @ AdA)) for rate, A, Ad, AdA in ops)
             L[:, i * dim + j] = D.reshape(-1)
     return [scipy.linalg.expm(t * L) for t in t_grid]
+
+
+def rk4_propagate(g, y, t_grid):
+    """The RK4 loop of ``opensys._propagate`` in complex arithmetic, one new
+    array per operation: yields ``y`` after each span of ``t_grid``, stepped in
+    the fewest equal steps within ``opensys._step_bound``."""
+    L = lindblad_superoperator(g)
+    h_max = _step_bound(g)
+    for span in np.diff(t_grid):
+        if span > 0:
+            steps = max(1, int(math.ceil(span / h_max))) if np.isfinite(h_max) else 1
+            h = span / steps
+            for _ in range(steps):
+                k1 = L @ y
+                k2 = L @ (y + 0.5 * h * k1)
+                k3 = L @ (y + 0.5 * h * k2)
+                k4 = L @ (y + h * k3)
+                y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        yield y
 
 
 def minimal_cover_with_free(target: int, candidates: list[int], free: list[int]):

@@ -211,6 +211,14 @@ def test_exit_code_2_for_input_errors(capsys, tmp_path):
                  id="weights-sum-overflow"),
     pytest.param({}, ["spectrum", "m412", "--weights", "uniform:1e308", "--full-check"],
                  id="weights-sum-overflow-full-check"),
+    pytest.param({}, ["spectrum", "m412", "--weights", "uniform:4e307"],
+                 id="weights-doubled-sum-overflow"),
+    pytest.param({}, ["simulate", "m412", "--gamma", "2e298", "--t-max", "1e-10", "--samples", "2"],
+                 id="gamma-doubled-sum-overflow"),
+    pytest.param({}, ["simulate", "m412", "--bath", "chi=1e300", "--samples", "3",
+                      "--t-max", "1e-12"], id="bath-rate-scale-overflow"),
+    pytest.param({"m.txt": "\u0661 1\n1 1\n".encode()}, ["code", "info", "{tmp}/m.txt"],
+                 id="matrix-arabic-indic-one"),
     pytest.param({"cfg.json": {"gamma": -0.5}},
                  ["--config", "{tmp}/cfg.json", "simulate", "m622", "--initial", "bell"],
                  id="config-gamma-negative"),
@@ -267,6 +275,12 @@ def test_exit_code_2_for_input_errors(capsys, tmp_path):
     pytest.param({"basis.json": {"x_stabilizers": [], "z_stabilizers": [],
                                  "aux_pairs": [["X[1,1] X[1,2]"]]}},
                  ["spectrum", "m412", "--basis", "{tmp}/basis.json"], id="basis-aux-pair"),
+    pytest.param({"basis.json": {"x_stabilizers": [[1]], "z_stabilizers": [], "aux_pairs": []}},
+                 ["spectrum", "m412", "--basis", "{tmp}/basis.json"],
+                 id="basis-operator-not-string"),
+    pytest.param({"basis.json": {"x_stabilizers": [], "z_stabilizers": [],
+                                 "aux_pairs": [["X[1,1] X[1,2]", 7]]}},
+                 ["spectrum", "m412", "--basis", "{tmp}/basis.json"], id="basis-aux-not-string"),
     pytest.param({}, ["spectrum", "m412", "--basis", "{tmp}/missing.json"], id="basis-unreadable"),
     pytest.param({}, ["encode-count", "{tmp}/missing.json"], id="encode-count-unreadable"),
     pytest.param({}, ["simulate", "m412", "--initial", "foo"], id="initial"),
@@ -284,6 +298,16 @@ def test_exit_code_2_for_malformed_values(capsys, matrices, tmp_path, files, arg
     code, out, err = run(capsys, *(matrices.get(a, a.format(tmp=tmp_path)) for a in argv))
     assert code == 2 and out == ""
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", [["spectrum"], ["spectrum", "--all-pairs"], ["simulate"]])
+def test_code_without_gauge_generators_names_itself(capsys, tmp_path, command):
+    """No weight or gamma is at fault when the code has nothing to weigh."""
+    m = tmp_path / "id3.txt"
+    m.write_text("1 0 0\n0 1 0\n0 0 1\n")
+    code, out, err = run(capsys, command[0], str(m), *command[1:])
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and "no gauge generators" in err and "--" not in err
 
 
 def test_cached_parser_carries_no_flag_into_the_next_call(matrices, tmp_path):

@@ -107,6 +107,14 @@ def test_load_code_matrix_formats():
         load_code_matrix("# only comments\n")
 
 
+@pytest.mark.parametrize("text", ["\u0661 1\n1 1\n", "\u06611\n11\n", "01 1\n1 1\n",
+                                  "+1 1\n1 1\n", "1 -0\n1 1\n", "\uff11 1\n1 1\n"])
+def test_load_code_matrix_accepts_only_the_ascii_digits_0_and_1(text):
+    """int() also reads other digit scripts, leading zeros and signs as 0 or 1."""
+    with pytest.raises(CodeFormatError, match="characters 0 and 1"):
+        load_code_matrix(text)
+
+
 def brute_distance(M):
     """Oracle: enumerate all row and column combinations directly."""
     M = np.asarray(M)

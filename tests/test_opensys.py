@@ -36,7 +36,7 @@ from gaugeforge.opensys import (
 )
 from gaugeforge.pauli import PauliOp
 from gaugeforge.spectra import WeightSpec, build_full_hamiltonian
-from tests.oracles import gibbs_state, kron_liouvillian, lindblad_propagators
+from tests.oracles import gibbs_state, kron_liouvillian, lindblad_propagators, rk4_propagate
 
 M412 = [[1, 1], [1, 1]]
 M622 = [[1, 1, 0], [0, 1, 1], [1, 0, 1]]
@@ -66,6 +66,24 @@ def test_bath_spec_validation():
         with pytest.raises(OpenSysError):
             BathSpec(**bad)
     BathSpec(chi=0.0)  # zero coupling is allowed
+
+
+def test_bath_spec_refuses_a_rate_scale_that_overflows():
+    """Every rate lies below 2 pi chi (omega_c + omega_T), so that scale must be finite."""
+    with pytest.raises(OpenSysError, match="rate scale"):
+        BathSpec(chi=1e300)
+    with pytest.raises(OpenSysError, match="rate scale"):
+        BathSpec(chi=0.0, omega_c=1.5e308, omega_T=1.5e308)
+    BathSpec(chi=1e296)
+
+
+def test_davies_generator_refuses_non_finite_frequencies_and_rates():
+    with pytest.raises(OpenSysError, match="Bohr frequencies overflow"):  # E3 - E0 overflows
+        davies_generator_from_h(np.diag([-1e308, 0.0, 0.0, 1e308]), BathSpec(),
+                                single_qubit_couplings(2))
+    with pytest.raises(OpenSysError, match="Bohr frequency"):  # 2 pi chi omega overflows
+        davies_generator_from_h(np.diag([0.0, 1e300]), BathSpec(chi=1e290),
+                                single_qubit_couplings(1))
 
 
 def test_bath_correlation_zero_frequency_limit():
@@ -278,6 +296,91 @@ def test_simulate_code_matches_expm_oracle(sampled_states):
     for rho, P in zip(sampled_states, lindblad_propagators(g.jumps, g.dim, t)):
         expected = V @ (P @ y0).reshape(g.dim, g.dim) @ V.conj().T
         assert np.abs(rho - expected).max() < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# The RK4 loop against its complex reference
+# ---------------------------------------------------------------------------
+
+def assert_propagates_like_reference(g, y0, t):
+    """``_propagate`` yields every state of the complex RK4 loop bit for bit."""
+    got, ref = list(opensys._propagate(g, y0, t)), list(rk4_propagate(g, y0.astype(complex), t))
+    assert len(got) == len(ref) == len(t) - 1
+    for a, b in zip(got, ref):
+        assert a.dtype == complex and a.shape == b.shape
+        assert np.array_equal(a.real, b.real) and np.array_equal(a.imag, b.imag)
+
+
+def two_block_words(g, code, w):
+    """simulate_two_blocks' stack: one row-stacked column per encoded word, F-ordered."""
+    Pg = opensys.ground_projector(code, w, code_sector_projector(code))
+    W = np.array([enc for _, enc in opensys._word_operators(code)]) @ Pg
+    return g.to_eigenbasis(W).reshape(len(W), -1).T
+
+
+def test_propagate_real_liouvillian_matches_reference():
+    """The code Liouvillian is real: the plusL state runs in real arithmetic,
+    the two-block word stack (with its imaginary Y word) as a complex stack
+    through the real L, and a random complex state through L as complex data."""
+    b = BathSpec()
+    code, w = code_and_weights(M412, lam=1.2 * b.omega_T)
+    g = davies_generator(code, w, b)
+    assert not lindblad_superoperator(g).data.imag.any()
+    plus = g.to_eigenbasis(encode_state(PLUS, code, w)).reshape(-1)
+    words = two_block_words(g, code, w)
+    mixed = g.to_eigenbasis(random_density(np.random.default_rng(11), g.dim)).reshape(-1)
+    assert not plus.imag.any() and words.imag.any() and mixed.imag.any()
+    assert not words.flags.c_contiguous
+    assert_propagates_like_reference(g, plus, np.array([0, 1e-9, 1e-9, 3e-9]))  # a zero span too
+    assert_propagates_like_reference(g, words, np.linspace(0, 5e-10, 3))
+    assert_propagates_like_reference(g, mixed, np.linspace(0, 5e-10, 3))
+
+
+def test_propagate_complex_liouvillian_matches_reference():
+    """A complex Hamiltonian and complex couplings give a complex L: a state
+    vector, a real-typed state and a stack of columns stay complex."""
+    rng = np.random.default_rng(12)
+    H = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    C = rng.normal(size=(2, 4, 4)) + 1j * rng.normal(size=(2, 4, 4))
+    g = davies_generator_from_h(1e9 * (H + H.conj().T), BathSpec(), [c + c.conj().T for c in C])
+    assert lindblad_superoperator(g).data.imag.any()
+    t = np.linspace(0, 4e-10, 3)
+    rho = g.to_eigenbasis(random_density(rng, 4))
+    assert_propagates_like_reference(g, rho.reshape(-1), t)
+    assert_propagates_like_reference(g, np.eye(4).reshape(-1) / 4, t)
+    assert_propagates_like_reference(g, np.stack([rho, rho.T]).reshape(2, -1).T, t)
+
+
+def test_sparse_kernels_add_into_the_output_with_the_bits_of_matmul():
+    """``_propagate`` calls scipy's private ``csr_matvec`` and ``csr_matvecs``
+    on C-contiguous buffers, also through the float view of a complex one, and
+    needs them to add L x into the output in place with the bits of the
+    complex L @ x.  A scipy release that changes them must fail here."""
+    from scipy.sparse import csr_matrix, random as sparse_random
+    from scipy.sparse._sparsetools import csr_matvec, csr_matvecs
+
+    rng = np.random.default_rng(13)
+    for dtype in (float, complex):
+        A = sparse_random(7, 5, density=0.5, format="csr", rng=rng, dtype=dtype)
+        Ac = A.astype(complex)
+        x = rng.normal(size=5).astype(dtype)
+        out = np.zeros(7, dtype)
+        csr_matvec(7, 5, A.indptr, A.indices, A.data, x, out)
+        assert np.array_equal(out, Ac @ x.astype(complex))
+        X = rng.normal(size=(5, 3)) + 1j * rng.normal(size=(5, 3))
+        out = np.zeros((7, 3), complex)
+        csr_matvecs(7, 5, 3 * out.itemsize // A.data.itemsize, A.indptr, A.indices, A.data,
+                    X.view(dtype), out.view(dtype))
+        assert np.array_equal(out.real, (Ac @ X).real) and np.array_equal(out.imag, (Ac @ X).imag)
+    # integer values make every sum exact, so the output must be added to, not overwritten
+    A = csr_matrix(rng.integers(-9, 9, size=(7, 5)) * (rng.random((7, 5)) < 0.5), dtype=float)
+    x, start = rng.integers(-9, 9, size=5).astype(float), rng.integers(-9, 9, size=7).astype(float)
+    out = start.copy()
+    csr_matvec(7, 5, A.indptr, A.indices, A.data, x, out)
+    assert np.array_equal(out, start + A @ x)
+    out = np.stack([start, 2 * start], axis=1)
+    csr_matvecs(7, 5, 2, A.indptr, A.indices, A.data, np.stack([x, -x], axis=1), out)
+    assert np.array_equal(out, np.stack([start + A @ x, 2 * start - A @ x], axis=1))
 
 
 # ---------------------------------------------------------------------------

@@ -53,6 +53,9 @@ def test_weight_spec_validation():
         WeightSpec.explicit([float("nan")])
     with pytest.raises(SpectraError, match="finite absolute sum"):  # each weight is finite
         WeightSpec.explicit([1e308, -1e308])
+    with pytest.raises(SpectraError, match="finite 2S"):  # eigenvalue differences reach 2S
+        WeightSpec.uniform(4e307, 4)
+    WeightSpec.uniform(4e307, 2)
     code, _ = make(M412)
     with pytest.raises(SpectraError):
         WeightSpec.uniform(1.0, 3).for_code(code)
