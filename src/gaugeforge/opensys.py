@@ -258,17 +258,16 @@ def _propagate(g: DaviesGenerator, y, t_grid: np.ndarray):
     where L and ``y`` are real, each bit that of complex L @ y and y + h/6 (k1 + 2k2 + 2k3 + k4)."""
     from scipy.sparse._sparsetools import csr_matvec, csr_matvecs  # L @ y without its dispatch
     L, h_max = lindblad_superoperator(g), _step_bound(g)
-    # L runs real unless y is a complex vector, which csr_matvec takes faster as complex data
-    data = L.data if L.data.imag.any() or (y.ndim == 1 and y.imag.any()) else L.data.real.copy()
-    real = data.dtype == float and not y.imag.any()
-    y = y.real.astype(float, order="C") if real else y.astype(complex, order="C")
+    real = not L.data.imag.any() and not y.imag.any()  # else the complex L and y
+    data = L.data.real.copy() if real else L.data
+    y = (y.real if real else y).astype(data.dtype, order="C")
     k1, k2, k3, k4, tmp = (np.empty_like(y) for _ in range(5))
-    n, cols = L.shape[0], k1.view(data.dtype).size // L.shape[0]  # complex y, real L: re, im
+    n, cols = L.shape[0], y.size // L.shape[0]
     kernel, shape = (csr_matvec, (n, n)) if cols == 1 else (csr_matvecs, (n, n, cols))
 
     def apply(x, out):  # out = L x by the kernel L @ x calls, which adds into out
         out.fill(0)
-        kernel(*shape, L.indptr, L.indices, data, x.view(data.dtype), out.view(data.dtype))
+        kernel(*shape, L.indptr, L.indices, data, x, out)
 
     for span in np.diff(t_grid):
         if span > 0:

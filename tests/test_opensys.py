@@ -320,8 +320,8 @@ def two_block_words(g, code, w):
 
 def test_propagate_real_liouvillian_matches_reference():
     """The code Liouvillian is real: the plusL state runs in real arithmetic,
-    the two-block word stack (with its imaginary Y word) as a complex stack
-    through the real L, and a random complex state through L as complex data."""
+    while the two-block word stack (with its imaginary Y word) and a random
+    complex state keep L and y complex."""
     b = BathSpec()
     code, w = code_and_weights(M412, lam=1.2 * b.omega_T)
     g = davies_generator(code, w, b)
@@ -353,25 +353,25 @@ def test_propagate_complex_liouvillian_matches_reference():
 
 def test_sparse_kernels_add_into_the_output_with_the_bits_of_matmul():
     """``_propagate`` calls scipy's private ``csr_matvec`` and ``csr_matvecs``
-    on C-contiguous buffers, also through the float view of a complex one, and
-    needs them to add L x into the output in place with the bits of the
-    complex L @ x.  A scipy release that changes them must fail here."""
-    from scipy.sparse import csr_matrix, random as sparse_random
+    on C-contiguous buffers of L's dtype, and needs them to add L x into the
+    output in place with the bits of the complex L @ x.  A scipy release that
+    changes them must fail here."""
+    from scipy.sparse import csr_matrix
     from scipy.sparse._sparsetools import csr_matvec, csr_matvecs
 
     rng = np.random.default_rng(13)
-    for dtype in (float, complex):
-        A = sparse_random(7, 5, density=0.5, format="csr", rng=rng, dtype=dtype)
+    mask = rng.random((7, 5)) < 0.5
+    for imag in (0, 1j):
+        A = csr_matrix((rng.normal(size=(7, 5)) + imag * rng.normal(size=(7, 5))) * mask)
         Ac = A.astype(complex)
-        x = rng.normal(size=5).astype(dtype)
-        out = np.zeros(7, dtype)
+        x, X = (rng.normal(size=s) + imag * rng.normal(size=s) for s in (5, (5, 3)))
+        out = np.zeros(7, A.dtype)
         csr_matvec(7, 5, A.indptr, A.indices, A.data, x, out)
         assert np.array_equal(out, Ac @ x.astype(complex))
-        X = rng.normal(size=(5, 3)) + 1j * rng.normal(size=(5, 3))
-        out = np.zeros((7, 3), complex)
-        csr_matvecs(7, 5, 3 * out.itemsize // A.data.itemsize, A.indptr, A.indices, A.data,
-                    X.view(dtype), out.view(dtype))
-        assert np.array_equal(out.real, (Ac @ X).real) and np.array_equal(out.imag, (Ac @ X).imag)
+        out = np.zeros((7, 3), A.dtype)
+        csr_matvecs(7, 5, 3, A.indptr, A.indices, A.data, X, out)
+        want = Ac @ X.astype(complex)
+        assert np.array_equal(out.real, want.real) and np.array_equal(out.imag, want.imag)
     # integer values make every sum exact, so the output must be added to, not overwritten
     A = csr_matrix(rng.integers(-9, 9, size=(7, 5)) * (rng.random((7, 5)) < 0.5), dtype=float)
     x, start = rng.integers(-9, 9, size=5).astype(float), rng.integers(-9, 9, size=7).astype(float)
