@@ -78,6 +78,14 @@ def _load_config(path: str | None) -> dict:
     return cfg
 
 
+def _json_numbers(values, kind=float) -> list:
+    """``values`` as ``kind``, each a JSON number (for int, an integer): not true or "1"."""
+    bad = [v for v in values if isinstance(v, bool) or not isinstance(v, (int, kind))]
+    if bad:
+        raise ValueError(f"{bad[0]!r} is not a JSON {'integer' if kind is int else 'number'}")
+    return [kind(v) for v in values]
+
+
 def _json(report: dict) -> str:
     return json.dumps(report, indent=2, sort_keys=True) + "\n"
 
@@ -107,10 +115,10 @@ def _parse_weights(spec_str: str, code) -> spectra.WeightSpec:
         if kind == "file":
             with open(rest) as f:
                 values = json.load(f)
-            w = spectra.WeightSpec.explicit(values)
+            w = spectra.WeightSpec.explicit(_json_numbers(values))
             w.for_code(code)  # a count other than the generators' is malformed input
             return w
-    except (ValueError, TypeError, OSError, json.JSONDecodeError, spectra.SpectraError) as exc:
+    except (ValueError, TypeError, OverflowError, OSError, spectra.SpectraError) as exc:
         raise InputError(f"bad --weights {spec_str!r}: {exc}") from exc
     raise InputError(f"bad --weights {spec_str!r}: expected uniform:L, xz:L,E or file:PATH")
 
@@ -311,23 +319,24 @@ def cmd_encode_count(args, cfg) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         raise InputError(f"cannot load problem file {args.problem}: {exc}") from exc
     try:
-        blocks = [CodeMatrix.from_matrix(m) for m in prob["blocks"]]
+        blocks = [CodeMatrix.from_matrix([_json_numbers(r, int) for r in m]) for m in prob["blocks"]]
         cm = combined_matrix(blocks)
         codes.check_size(cm)
-        h = {int(q) - 1: float(v) for q, v in prob.get("h", {}).items()}
+        hs, Js = prob.get("h", {}), prob.get("J", {})
+        h = {int(q) - 1: v for q, v in zip(hs, _json_numbers(hs.values()))}
         J = {}
-        for key, v in prob.get("J", {}).items():
+        for key, v in zip(Js, _json_numbers(Js.values())):
             a, b = key.split(",")
-            J[(int(a) - 1, int(b) - 1)] = float(v)
+            J[(int(a) - 1, int(b) - 1)] = v
         ks = [gf2_rank(b.row_masks) for b in blocks]
         assignment = {}
-        for q, (b, s) in prob["assignment"].items():
-            q, b, s = int(q) - 1, int(b), int(s)
+        for q, pair in prob["assignment"].items():
+            (b, s), q = _json_numbers(pair, int), int(q) - 1
             if q < 0 or not (0 <= b < len(ks) and 0 <= s < ks[b]):
                 raise InputError(f"assignment {q + 1}: [{b}, {s}] on blocks with k = {ks} "
                                  "(logical qubits count from 1, blocks and slots from 0)")
             assignment[q] = sum(ks[:b]) + s  # slot s of block b on the composite
-    except (KeyError, TypeError, ValueError, AttributeError, codes.CodeError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, AttributeError, codes.CodeError) as exc:
         raise InputError(f"bad problem file {args.problem}: {exc}") from exc
     if not np.isfinite([*h.values(), *J.values()]).all():
         raise InputError("h and J values must be finite")

@@ -162,8 +162,11 @@ def lindblad_superoperator(g: DaviesGenerator) -> sp.csr_matrix:
     sum rate (A (x) conj(A) - 1/2 A^dag A (x) I - 1/2 I (x) (A^dag A)^T), summed jump by
     jump in dense tiles of the realigned R[(i, j), (k, l)] = L[(i, k), (j, l)] (see
     DECISIONS.md).  Each entry gets the float operations of the sparse kron sum of the
-    formula in their order, so L is bit-identical to that sum."""
+    formula in their order, so L is bit-identical to that sum.  L is real when each jump is
+    real or imaginary: an imaginary A = iB adds B (x) B and B^T B with the same bits."""
     import scipy.sparse as sp
+    dt = np.dtype(complex if any(A.data.real.any() and A.data.imag.any()
+                                 for _, _, A in g.jumps) else float)
     d, lv = g.dim, g.levels
     n = np.bincount(lv)
     s, nl = np.cumsum(n) - n, n.size
@@ -175,6 +178,7 @@ def lindblad_superoperator(g: DaviesGenerator) -> sp.csr_matrix:
     jumps, tile = [], np.zeros((size.size, size.size), dtype=bool)  # (row group, column group)
     for _, rate, A in g.jumps:
         if rate != 0.0:
+            A = A if dt == complex else A.real if A.data.real.any() else A.imag
             ab = np.unique(np.repeat(lv, np.diff(A.indptr)) * nl + lv[A.indices]).tolist()
             groups = [0] * any(x % (nl + 1) == 0 for x in ab) + [1 + x for x in ab if size[1 + x]]
             # A^dag A has the blocks (b, b2) of A's (a, b), (a, b2); their strips, at (k, k)
@@ -186,17 +190,17 @@ def lindblad_superoperator(g: DaviesGenerator) -> sp.csr_matrix:
     width = tile @ size
     colstart = np.cumsum(tile * size, 1) - tile * size
     start = 1 + np.cumsum(size * width) - size * width
-    acc = np.zeros(1 + size @ width, dtype=complex)  # acc[0] stays 0, for absent entries
-    buf = np.empty(max((sum(size[list(offs)]) for _, _, offs, _ in jumps), default=0) ** 2, complex)
+    acc = np.zeros(1 + size @ width, dtype=dt)  # acc[0] stays 0, for absent entries
+    buf = np.empty(max((sum(size[list(offs)]) for _, _, offs, _ in jumps), default=0) ** 2, dt)
 
     def add(g1, g2, X):  # tile (g1, g2) += X
-        at = start[g1] + colstart[g1, g2]
-        view = np.ndarray(X.shape, complex, acc, 16 * at, (16 * width[g1], 16))
+        at, b = start[g1] + colstart[g1, g2], dt.itemsize
+        view = np.ndarray(X.shape, dt, acc, b * at, (b * width[g1], b))
         view += X
 
     for rate, A, offs, hs in jumps:
         f = A.toarray().flat[np.concatenate([pairs[gr] for gr in offs])]  # all (k, k) or none
-        P = np.multiply.outer(f, f.conj(), out=np.ndarray((f.size, f.size), complex, buf))
+        P = np.multiply.outer(f, f.conj(), out=np.ndarray((f.size, f.size), dt, buf))
         if A.nnz == 1:  # the kron sum squares a lone entry in a 1-wide loop: no FMA
             P[np.ix_(f != 0, f != 0)] = np.multiply.outer(f[f != 0], f[f != 0].conj())
         h = 0.5 * (A.conj().T @ A).toarray()
@@ -218,7 +222,7 @@ def lindblad_superoperator(g: DaviesGenerator) -> sp.csr_matrix:
     cols = [[np.flatnonzero(meet[a, a2][np.ix_(lv, lv)]) for a2 in range(nl)] for a in range(nl)]
     rowcols = [np.concatenate([np.tile(c, n[a2]) for a2, c in enumerate(row)]) for row in cols]
     rowpos, cs = start[grp] + mem * width[grp], np.where(tile, colstart, -acc.size - d * d)
-    data, indices = (np.empty(np.count_nonzero(acc), t) for t in (complex, np.int32))
+    data, indices = (np.empty(np.count_nonzero(acc), t) for t in (dt, np.int32))
     indptr = np.zeros(d * d + 1, dtype=np.int64)
     for x in range(d):  # the rows (x, y) of L
         v = [np.take(acc, rowpos[r] + cs[grp[r], grp[q]] + mem[q], mode="clip")
@@ -239,6 +243,7 @@ class Trajectory:
 
 
 RATE_STEP_BOUND = 1e-3  # RK4 step times the largest total jump rate
+MAX_RK4_STEPS = 10**8  # per trajectory, refused before any stepping (see DECISIONS.md)
 
 
 def _step_bound(g: DaviesGenerator) -> float:
@@ -257,10 +262,14 @@ def _propagate(g: DaviesGenerator, y, t_grid: np.ndarray):
     in the fewest equal steps within the step bound.  The steps run in place, in real arithmetic
     where L and ``y`` are real, each bit that of complex L @ y and y + h/6 (k1 + 2k2 + 2k3 + k4)."""
     from scipy.sparse._sparsetools import csr_matvec, csr_matvecs  # L @ y without its dispatch
-    L, h_max = lindblad_superoperator(g), _step_bound(g)
-    real = not L.data.imag.any() and not y.imag.any()  # else the complex L and y
-    data = L.data.real.copy() if real else L.data
-    y = (y.real if real else y).astype(data.dtype, order="C")
+    h_max, spans = _step_bound(g), np.diff(t_grid)
+    with np.errstate(all="ignore"):  # a count past the float range is inf, and refused
+        counts = np.where(spans > 0, np.maximum(1, np.ceil(spans / h_max)), 0)
+    if not counts.sum() <= MAX_RK4_STEPS:
+        raise OpenSysError(f"{counts.sum():.3g} RK4 steps needed, more than {MAX_RK4_STEPS:.0e}")
+    L, y = lindblad_superoperator(g), y if y.imag.any() else y.real  # a complex y: L complex too
+    data = L.data.astype(np.result_type(L.data, y), copy=False)
+    y = y.astype(data.dtype, order="C")
     k1, k2, k3, k4, tmp = (np.empty_like(y) for _ in range(5))
     n, cols = L.shape[0], y.size // L.shape[0]
     kernel, shape = (csr_matvec, (n, n)) if cols == 1 else (csr_matvecs, (n, n, cols))
@@ -269,18 +278,15 @@ def _propagate(g: DaviesGenerator, y, t_grid: np.ndarray):
         out.fill(0)
         kernel(*shape, L.indptr, L.indices, data, x, out)
 
-    for span in np.diff(t_grid):
-        if span > 0:
-            steps = max(1, int(math.ceil(span / h_max))) if np.isfinite(h_max) else 1
-            h = span / steps
-            for _ in range(steps):  # each scalar multiplies from the left, as in the formula
-                apply(y, k1)
-                apply(np.add(y, np.multiply(0.5 * h, k1, out=tmp), out=tmp), k2)
-                apply(np.add(y, np.multiply(0.5 * h, k2, out=tmp), out=tmp), k3)
-                apply(np.add(y, np.multiply(h, k3, out=tmp), out=tmp), k4)
-                np.add(k1, np.multiply(2, k2, out=k2), out=k1)
-                np.add(np.add(k1, np.multiply(2, k3, out=k3), out=k1), k4, out=k1)
-                np.add(y, np.multiply(h / 6.0, k1, out=k1), out=y)
+    for h, steps in zip(spans / np.maximum(counts, 1), counts.astype(int)):
+        for _ in range(steps):  # each scalar multiplies from the left, as in the formula
+            apply(y, k1)
+            apply(np.add(y, np.multiply(0.5 * h, k1, out=tmp), out=tmp), k2)
+            apply(np.add(y, np.multiply(0.5 * h, k2, out=tmp), out=tmp), k3)
+            apply(np.add(y, np.multiply(h, k3, out=tmp), out=tmp), k4)
+            np.add(k1, np.multiply(2, k2, out=k2), out=k1)
+            np.add(np.add(k1, np.multiply(2, k3, out=k3), out=k1), k4, out=k1)
+            np.add(y, np.multiply(h / 6.0, k1, out=k1), out=y)
         yield y.astype(complex)
 
 

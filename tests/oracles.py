@@ -1,11 +1,11 @@
 """Independent reference values that only the tests use: closed-form sector
 spectra of the two small benchmark codes, the dense full spectrum, the
 full-space product as per-term scatters, encoded logical words as letter
-products, minimum-weight encoding over the listed stabilizer group, the
-Gibbs state, the sparse kron-sum Liouvillian, exact Lindblad propagators,
-the RK4 loop in complex arithmetic, extraction's dependency search with its
-segment flush and a rank test on every step, and Pauli decomposition by
-explicit products."""
+products, minimum-weight encoding over the listed stabilizer group, the code
+distance over C(S) \\ G, the Gibbs state, the sparse kron-sum Liouvillian,
+exact Lindblad propagators, the RK4 loop in complex arithmetic, extraction's
+dependency search with its segment flush and a rank test on every step, and
+Pauli decomposition by explicit products."""
 
 from __future__ import annotations
 
@@ -90,6 +90,36 @@ def listed_min_weight(op, stabilizers):
     return min(group, key=lambda p: (p.weight, p.x, p.z))
 
 
+def centralizer_distance(M) -> int:
+    """Least weight over C(S) \\ G from the gauge generators alone, type by type: the X-type
+    vectors orthogonal to every Z-type stabilizer and outside the span of the XX generators,
+    and the same with X and Z swapped.  The Z-type stabilizers are the elements of the ZZ
+    span orthogonal to every XX generator.  Both spans are listed in full, and all 2^n
+    vectors are tested, so n should stay near 14 or below."""
+    M = np.asarray(M)
+    n = int(M.sum())
+    qubit = np.full(M.shape, -1)
+    qubit[M == 1] = np.arange(n)  # row-major, as CodeMatrix numbers them
+    xx, zz = ([1 << int(a) | 1 << int(b) for line in lines for a, b in
+               zip(line[line >= 0], line[line >= 0][1:])] for lines in (qubit, qubit.T))
+    bits = np.arange(1 << n)[:, None] >> np.arange(n) & 1  # row v: the bits of v
+
+    def span(gens):
+        out = {0}
+        for g in gens:
+            out |= {v ^ g for v in out}
+        return sorted(out)
+
+    best = n
+    for same, other in ((xx, zz), (zz, xx)):
+        stabs = [s for s in span(other) if all((s & g).bit_count() % 2 == 0 for g in same)]
+        stab_bits = np.array(stabs)[:, None] >> np.arange(n) & 1
+        inside = (bits @ stab_bits.T % 2 == 0).all(axis=1)
+        inside &= ~np.isin(np.arange(1 << n), span(same))
+        best = min(best, int(bits[inside].sum(axis=1).min()))
+    return best
+
+
 def gibbs_state(H: np.ndarray, omega_T: float) -> np.ndarray:
     E, V = np.linalg.eigh(H)
     w = np.exp(-(E - E[0]) / omega_T)
@@ -135,7 +165,7 @@ def rk4_propagate(g, y, t_grid):
     """The RK4 loop of ``opensys._propagate`` in complex arithmetic, one new
     array per operation: yields ``y`` after each span of ``t_grid``, stepped in
     the fewest equal steps within ``opensys._step_bound``."""
-    L = lindblad_superoperator(g)
+    L = lindblad_superoperator(g).astype(complex)
     h_max = _step_bound(g)
     for span in np.diff(t_grid):
         if span > 0:

@@ -231,8 +231,27 @@ def test_exit_code_2_for_input_errors(capsys, tmp_path):
                  id="weights-file"),
     pytest.param({"w.json": [1, 1, 1]}, ["spectrum", "m412", "--weights", "file:{tmp}/w.json"],
                  id="weights-file-count"),
+    pytest.param({"w.json": [True] * 4}, ["spectrum", "m412", "--weights", "file:{tmp}/w.json"],
+                 id="weights-file-true"),
+    pytest.param({"w.json": ["1"] * 4}, ["spectrum", "m412", "--weights", "file:{tmp}/w.json"],
+                 id="weights-file-strings"),
+    pytest.param({"w.json": b"[1" + b"0" * 400 + b", 1, 1, 1]"},
+                 ["spectrum", "m412", "--weights", "file:{tmp}/w.json"],
+                 id="weights-file-integer-past-float-range"),
     pytest.param({"prob.json": {"blocks": [[[1, 1], [1, 1]]], "assignment": [1]}},
                  ["encode-count", "{tmp}/prob.json"], id="encode-count-assignment"),
+    pytest.param({"prob.json": {"blocks": [[[1, 1], [1, 1]]], "assignment": {"1": "00"}}},
+                 ["encode-count", "{tmp}/prob.json"], id="encode-count-assignment-string"),
+    pytest.param({"prob.json": {"blocks": [[[True, 1], [1, 1]]], "assignment": {"1": [0, 0]}}},
+                 ["encode-count", "{tmp}/prob.json"], id="encode-count-entry-true"),
+    pytest.param({"prob.json": {"blocks": [[[1.0, 1], [1, 1]]], "assignment": {"1": [0, 0]}}},
+                 ["encode-count", "{tmp}/prob.json"], id="encode-count-entry-1.0"),
+    pytest.param({"prob.json": {"blocks": [[[1, 1], [1, 1]]], "h": {"1": True},
+                                "assignment": {"1": [0, 0]}}},
+                 ["encode-count", "{tmp}/prob.json"], id="encode-count-h-true"),
+    pytest.param({"prob.json": b'{"blocks": [[[1, 1], [1, 1]]], "assignment": {"1": [0, 0]}, '
+                               b'"h": {"1": 1' + b"0" * 400 + b"}}"},
+                 ["encode-count", "{tmp}/prob.json"], id="encode-count-h-integer-past-float-range"),
     pytest.param({"prob.json": {"blocks": [[[1, 1], [1, 1]]], "assignment": {"1": [1, 0]}}},
                  ["encode-count", "{tmp}/prob.json"], id="encode-count-block-index"),
     pytest.param({"prob.json": {"blocks": [[[1, 1], [1, 1]]], "assignment": {"1": [0, 1]}}},
@@ -375,6 +394,17 @@ def test_full_check_refuses_oversized_code(capsys, monkeypatch, tmp_path):
     code, out, err = run(capsys, "spectrum", str(m), "--full-check")
     assert code == 1 and out == ""
     assert err.startswith("error:") and err.count("\n") == 1 and "n <= 20" in err
+
+
+@pytest.mark.parametrize("t_max", ["1e-300", "1e300"])  # 3.4e10 steps; a count past the floats
+def test_simulate_refuses_a_step_count_over_the_limit(capsys, matrices, t_max):
+    """At chi = 1e296 the RK4 step bound is 3e-311 s: the run is refused before any step."""
+    start = time.perf_counter()
+    code, out, err = run(capsys, "simulate", matrices["m412"], "--bath", "chi=1e296",
+                         "--samples", "2", "--t-max", t_max)
+    assert time.perf_counter() - start < 5
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1 and "RK4 steps" in err
 
 
 def test_exit_code_1_for_verification_failure(capsys, monkeypatch, tmp_path):

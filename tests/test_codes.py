@@ -24,7 +24,7 @@ from gaugeforge.codes import (
     logical_operator,
 )
 from gaugeforge.pauli import PauliOp, express_in_basis
-from tests.oracles import letter_logical_operator, listed_min_weight
+from tests.oracles import centralizer_distance, letter_logical_operator, listed_min_weight
 
 M412 = [[1, 1], [1, 1]]
 M622 = [[1, 1, 0], [0, 1, 1], [1, 0, 1]]
@@ -134,6 +134,18 @@ def test_distance_matches_brute_force():
     for _ in range(60):
         M = random_matrix(rng)
         assert distance(CodeMatrix.from_matrix(M)) == brute_distance(M)
+
+
+def test_distance_matches_the_centralizer_oracle():
+    """The row and column combinations of ``distance`` against the least weight over
+    C(S) \\ G, found from the gauge generators alone, on 300 seeded codes with n <= 14."""
+    rng = np.random.default_rng(24)
+    checked = 0
+    while checked < 300:
+        M = random_matrix(rng, max_dim=7)
+        if M.sum() <= 14:
+            assert distance(CodeMatrix.from_matrix(M)) == centralizer_distance(M), M
+            checked += 1
 
 
 def test_distance_size_guard():

@@ -165,10 +165,15 @@ def test_bohr_frequencies_come_from_sector_eigenvalues():
 # ---------------------------------------------------------------------------
 
 def assert_bitwise_equal(L, ref):
+    """L has the entries of the complex ``ref`` bit for bit: a real L its real parts, with
+    every imaginary part of ``ref`` zero, and a complex L its float view."""
     assert L.shape == ref.shape
     assert np.array_equal(L.indptr, ref.indptr)
     assert np.array_equal(L.indices, ref.indices)
-    assert np.array_equal(L.data.view(float), ref.data.view(float))
+    if L.dtype == np.float64:
+        assert not ref.data.imag.any() and np.array_equal(L.data, ref.data.real)
+    else:
+        assert np.array_equal(L.data.view(float), ref.data.view(float))
 
 
 @pytest.mark.slow
@@ -180,6 +185,7 @@ def test_liouvillian_matches_kron_oracle_bitwise():
                 w = WeightSpec.uniform(gamma * bath.omega_T, len(code.gauge_generators))
                 g = davies_generator(code, w, bath)
                 L = lindblad_superoperator(g)
+                assert L.dtype == np.float64
                 assert_bitwise_equal(L, kron_liouvillian(g))
                 if bath.chi == 0.0:
                     assert L.shape == (g.dim ** 2, g.dim ** 2) and L.nnz == 0
@@ -198,7 +204,9 @@ def test_liouvillian_matches_kron_oracle_on_degenerate_spectra(levels, shifts, s
     H = (Q * (np.array(levels) + np.array(shifts))) @ Q.conj().T
     C = rng.normal(size=(2, 8, 8)) + 1j * rng.normal(size=(2, 8, 8))
     g = davies_generator_from_h((H + H.conj().T) / 2, BathSpec(), [c + c.conj().T for c in C])
-    assert_bitwise_equal(lindblad_superoperator(g), kron_liouvillian(g))
+    L = lindblad_superoperator(g)
+    assert L.dtype == np.complex128
+    assert_bitwise_equal(L, kron_liouvillian(g))
 
 
 def test_liouvillian_matches_kron_oracle_on_other_generator_sets():
@@ -213,7 +221,9 @@ def test_liouvillian_matches_kron_oracle_on_other_generator_sets():
         cases.append((code, WeightSpec.uniform(1.2 * bath.omega_T, len(code.gauge_generators))))
     for code, w in cases:
         g = davies_generator(code, w, bath)
-        assert_bitwise_equal(lindblad_superoperator(g), kron_liouvillian(g))
+        L = lindblad_superoperator(g)
+        assert L.dtype == np.float64
+        assert_bitwise_equal(L, kron_liouvillian(g))
 
 
 def test_liouvillian_matches_kron_oracle_on_a_lone_entry():
@@ -325,7 +335,7 @@ def test_propagate_real_liouvillian_matches_reference():
     b = BathSpec()
     code, w = code_and_weights(M412, lam=1.2 * b.omega_T)
     g = davies_generator(code, w, b)
-    assert not lindblad_superoperator(g).data.imag.any()
+    assert lindblad_superoperator(g).dtype == np.float64
     plus = g.to_eigenbasis(encode_state(PLUS, code, w)).reshape(-1)
     words = two_block_words(g, code, w)
     mixed = g.to_eigenbasis(random_density(np.random.default_rng(11), g.dim)).reshape(-1)
@@ -343,12 +353,30 @@ def test_propagate_complex_liouvillian_matches_reference():
     H = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     C = rng.normal(size=(2, 4, 4)) + 1j * rng.normal(size=(2, 4, 4))
     g = davies_generator_from_h(1e9 * (H + H.conj().T), BathSpec(), [c + c.conj().T for c in C])
-    assert lindblad_superoperator(g).data.imag.any()
+    L = lindblad_superoperator(g)
+    assert L.dtype == np.complex128 and L.data.imag.any()
     t = np.linspace(0, 4e-10, 3)
     rho = g.to_eigenbasis(random_density(rng, 4))
     assert_propagates_like_reference(g, rho.reshape(-1), t)
     assert_propagates_like_reference(g, np.eye(4).reshape(-1) / 4, t)
     assert_propagates_like_reference(g, np.stack([rho, rho.T]).reshape(2, -1).T, t)
+
+
+def test_propagate_refuses_a_grid_over_the_step_limit(monkeypatch):
+    """The step counts are summed over the spans as floats, before L is built: each span
+    below the limit but their sum above it, and a count past the float range."""
+    b = BathSpec()
+    code, w = code_and_weights(M412, lam=1.2 * b.omega_T)
+    g = davies_generator(code, w, b)
+    half = opensys.MAX_RK4_STEPS // 2 * opensys._step_bound(g)
+
+    def no_build(g):
+        raise AssertionError("L built before the step count check")
+
+    monkeypatch.setattr(opensys, "lindblad_superoperator", no_build)
+    for t in ([0, half, 2 * half + 1e-12], [0, 1e-300, 1e300]):
+        with pytest.raises(OpenSysError, match="RK4 steps"):
+            next(opensys._propagate(g, np.zeros(g.dim ** 2), np.array(t)))
 
 
 def test_sparse_kernels_add_into_the_output_with_the_bits_of_matmul():
