@@ -61,16 +61,29 @@ def _read_matrix(path: str) -> tuple[CodeMatrix, str]:
     return cm, hashlib.sha256(raw).hexdigest()
 
 
-def _load_config(path: str | None) -> dict:
-    if path is None:
-        return {}
+def _load_json(path: str, what: str, kind: type = dict):
+    """The JSON document in ``path``: a ``kind`` (dict or list) that names no object key twice,
+    where the standard reader would keep the last value."""
+    def unique(pairs):
+        obj = {}
+        for key, value in pairs:
+            if key in obj:
+                raise ValueError(f"key {key!r} given twice in one object")
+            obj[key] = value
+        return obj
+
     try:
-        with open(path) as f:
-            cfg = json.load(f)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise InputError(f"cannot load config {path}: {exc}") from exc
-    if not isinstance(cfg, dict):
-        raise InputError(f"config {path} must be a JSON object")
+        with open(path, encoding="utf-8") as f:
+            doc = json.load(f, object_pairs_hook=unique)
+    except (OSError, ValueError, RecursionError) as exc:
+        raise InputError(f"cannot load {what} {path}: {exc}") from exc
+    if not isinstance(doc, kind):
+        raise InputError(f"{what} {path} must be a JSON {'object' if kind is dict else 'list'}")
+    return doc
+
+
+def _load_config(path: str | None) -> dict:
+    cfg = {} if path is None else _load_json(path, "config")
     unknown = set(cfg) - set(_SETTINGS)
     if unknown:
         raise InputError(f"config {path}: unknown key {min(unknown)!r} "
@@ -78,16 +91,22 @@ def _load_config(path: str | None) -> dict:
     return cfg
 
 
-def _json_numbers(values, kind=float) -> list:
-    """``values`` as ``kind``, each a JSON number (for int, an integer): not true or "1"."""
-    bad = [v for v in values if isinstance(v, bool) or not isinstance(v, (int, kind))]
+def _json_values(values, kind=float) -> list:
+    """``values`` as ``kind``, each a JSON value of that kind: a number for float, an integer
+    for int, a string for str.  true is none of these, and "1" is no number."""
+    types, name = {float: ((int, float), "number"), int: (int, "integer"),
+                   str: (str, "string")}[kind]
+    bad = [v for v in values if isinstance(v, bool) or not isinstance(v, types)]
     if bad:
-        raise ValueError(f"{bad[0]!r} is not a JSON {'integer' if kind is int else 'number'}")
+        raise ValueError(f"{bad[0]!r} is not a JSON {name}")
     return [kind(v) for v in values]
 
 
-def _json(report: dict) -> str:
-    return json.dumps(report, indent=2, sort_keys=True) + "\n"
+def _qubit(key: str) -> int:
+    """The 0-based index of a logical-qubit key, which is 1, 2, ... in ASCII digits."""
+    if not (key.isascii() and key.isdigit() and key[0] != "0"):
+        raise ValueError(f"logical qubit {key!r} is not 1, 2, ... in ASCII digits")
+    return int(key) - 1
 
 
 def _csv(rows) -> str:
@@ -99,6 +118,12 @@ def _csv(rows) -> str:
 def _write(out, text: str):
     """Write a command's whole output at once, to a file ``main`` opened or to stdout."""
     (out or sys.stdout).write(text)
+
+
+def _write_report(out, report: dict, config: dict, **fields):
+    """Write ``report``, its ``config`` and any further ``fields`` as one sorted JSON object."""
+    text = json.dumps({**report, **fields, "config": config}, indent=2, sort_keys=True)
+    _write(out, text + "\n")
 
 
 def _parse_weights(spec_str: str, code) -> spectra.WeightSpec:
@@ -113,12 +138,10 @@ def _parse_weights(spec_str: str, code) -> spectra.WeightSpec:
             return spectra.WeightSpec.xz(float(lam_s), float(eta_s),
                                          len(code.x_gauge), len(code.z_gauge))
         if kind == "file":
-            with open(rest) as f:
-                values = json.load(f)
-            w = spectra.WeightSpec.explicit(_json_numbers(values))
+            w = spectra.WeightSpec.explicit(_json_values(_load_json(rest, "--weights file", list)))
             w.for_code(code)  # a count other than the generators' is malformed input
             return w
-    except (ValueError, TypeError, OverflowError, OSError, spectra.SpectraError) as exc:
+    except (ValueError, OverflowError, spectra.SpectraError) as exc:
         raise InputError(f"bad --weights {spec_str!r}: {exc}") from exc
     raise InputError(f"bad --weights {spec_str!r}: expected uniform:L, xz:L,E or file:PATH")
 
@@ -128,8 +151,8 @@ def _parse_bath(spec_str: str) -> opensys.BathSpec:
     if spec_str:
         for item in spec_str.split(","):
             key, _, val = item.partition("=")
-            if key not in ("chi", "omega_c", "omega_T") or not val:
-                raise InputError(f"bad --bath item {item!r}")
+            if key not in ("chi", "omega_c", "omega_T") or not val or key in kwargs:
+                raise InputError(f"bad --bath item {item!r}: keys chi, omega_c, omega_T, each once")
             try:
                 kwargs[key] = float(val)
             except ValueError as exc:
@@ -150,17 +173,10 @@ def _reduced_basis_report(cm: CodeMatrix, rb: extraction.ReducedBasis) -> dict:
 
 
 def _reduced_basis_from_report(cm: CodeMatrix, rep: dict) -> extraction.ReducedBasis:
-    def parse(s):
-        if not isinstance(s, str):
-            raise InputError(f"malformed reduced-basis file: operator {s!r} is not a string")
-        return cm.parse(s)
-
-    try:
-        return extraction.ReducedBasis(
-            x_stabilizers=[parse(s) for s in rep["x_stabilizers"]],
-            z_stabilizers=[parse(s) for s in rep["z_stabilizers"]],
-            aux_pairs=[(parse(x), parse(z)) for x, z in rep["aux_pairs"]],
-        )
+    try:  # each stabilizer list and each auxiliary pair is a list of operator strings
+        xs, zs, *pairs = ([cm.parse(s) for s in _json_values(ops, str)] for ops in
+                          (rep["x_stabilizers"], rep["z_stabilizers"], *rep["aux_pairs"]))
+        return extraction.ReducedBasis(xs, zs, [(x, z) for x, z in pairs])
     except (KeyError, TypeError, ValueError, PauliError) as exc:
         raise InputError(f"malformed reduced-basis file: {exc}") from exc
 
@@ -176,10 +192,8 @@ def _gauged_code(cm: CodeMatrix, all_pairs: bool = False):
 
 def cmd_code_info(args, cfg) -> int:
     cm, digest = _read_matrix(args.matrix)
-    report = build_code(cm, all_pairs=args.all_pairs).to_report()
-    report["config"] = {"matrix": args.matrix, "all_pairs": bool(args.all_pairs)}
-    report["matrix_sha256"] = digest
-    _write(args.out, _json(report))
+    _write_report(args.out, build_code(cm, all_pairs=args.all_pairs).to_report(),
+                  {"matrix": args.matrix, "all_pairs": bool(args.all_pairs)}, matrix_sha256=digest)
     return EXIT_OK
 
 
@@ -191,11 +205,8 @@ def cmd_reduce(args, cfg) -> int:
     except extraction.ExtractionError as exc:
         raise ComputeError(f"extraction failed: {exc}") from exc
     verification = extraction.verify_reduced_basis(code, rb)
-    report = _reduced_basis_report(cm, rb)
-    report["verification"] = verification.to_dict()
-    report["config"] = {"matrix": args.matrix}
-    report["matrix_sha256"] = digest
-    _write(args.out, _json(report))
+    _write_report(args.out, _reduced_basis_report(cm, rb), {"matrix": args.matrix},
+                  verification=verification.to_dict(), matrix_sha256=digest)
     if not verification.ok:
         sys.stderr.write("verification failed: "
                          + "; ".join(n for n, _ in verification.violations) + "\n")
@@ -212,11 +223,7 @@ def cmd_spectrum(args, cfg) -> int:
     except spectra.SpectraError as exc:
         raise ComputeError(str(exc)) from exc
     if args.basis:
-        try:
-            with open(args.basis) as f:
-                rb = _reduced_basis_from_report(cm, json.load(f))
-        except (OSError, json.JSONDecodeError) as exc:
-            raise InputError(f"cannot load --basis {args.basis}: {exc}") from exc
+        rb = _reduced_basis_from_report(cm, _load_json(args.basis, "--basis"))
         failed = extraction.verify_reduced_basis(code, rb).violations
         if failed:
             raise InputError(f"--basis {args.basis} is not a reduced basis of this code: "
@@ -233,12 +240,11 @@ def cmd_spectrum(args, cfg) -> int:
         raise ComputeError(str(exc)) from exc
     report = sep.to_dict()
     report["sectors"].sort(key=lambda s: s["sector"], reverse=True)
-    report["config"] = {"matrix": args.matrix, "weights": args.weights or "uniform:1",
-                        "all_pairs": bool(args.all_pairs), "basis": args.basis}
-    report["matrix_sha256"] = digest
     if full is not None:
         report["full_ground_energy"] = e_full
-    _write(args.out, _json(report))
+    _write_report(args.out, report, {"matrix": args.matrix, "weights": args.weights or "uniform:1",
+                                     "all_pairs": bool(args.all_pairs), "basis": args.basis},
+                  matrix_sha256=digest)
     if args.sector_table:
         rows = sorted(sep.ground_energies.items(), reverse=True)
         header = [f"s{i + 1}" for i in range(len(rows[0][0]))] + ["ground_energy"]
@@ -262,8 +268,9 @@ def cmd_simulate(args, cfg) -> int:
         raise InputError("--initial must be plusL|bell, --blocks together|separate")
     if metrics not in ("logical", "physical"):
         raise InputError("--metrics must be logical or physical")
-    if not 0 < t_max < np.inf or samples < 2:
-        raise InputError("--t-max must be positive and finite and --samples at least 2")
+    most = opensys.MAX_RK4_STEPS + 1  # each sample after the first takes an RK4 step or more
+    if not 0 < t_max < np.inf or not 2 <= samples <= most:
+        raise InputError(f"--t-max must be positive and finite and --samples from 2 to {most}")
     bath = _parse_bath(setting("bath"))
     try:
         gamma_list = sorted(float(g) for g in gammas.split(","))
@@ -313,26 +320,24 @@ def cmd_simulate(args, cfg) -> int:
 
 
 def cmd_encode_count(args, cfg) -> int:
+    prob = _load_json(args.problem, "problem file")
     try:
-        with open(args.problem) as f:
-            prob = json.load(f)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise InputError(f"cannot load problem file {args.problem}: {exc}") from exc
-    try:
-        blocks = [CodeMatrix.from_matrix([_json_numbers(r, int) for r in m]) for m in prob["blocks"]]
+        blocks = [CodeMatrix.from_matrix([_json_values(r, int) for r in m]) for m in prob["blocks"]]
         cm = combined_matrix(blocks)
         codes.check_size(cm)
         hs, Js = prob.get("h", {}), prob.get("J", {})
-        h = {int(q) - 1: v for q, v in zip(hs, _json_numbers(hs.values()))}
+        h = {_qubit(q): v for q, v in zip(hs, _json_values(hs.values()))}
         J = {}
-        for key, v in zip(Js, _json_numbers(Js.values())):
-            a, b = key.split(",")
-            J[(int(a) - 1, int(b) - 1)] = v
+        for key, v in zip(Js, _json_values(Js.values())):
+            a, b = map(_qubit, key.split(","))
+            if (b, a) in J:
+                raise ValueError(f"J names the coupling of {a + 1} and {b + 1} twice")
+            J[(a, b)] = v
         ks = [gf2_rank(b.row_masks) for b in blocks]
         assignment = {}
         for q, pair in prob["assignment"].items():
-            (b, s), q = _json_numbers(pair, int), int(q) - 1
-            if q < 0 or not (0 <= b < len(ks) and 0 <= s < ks[b]):
+            (b, s), q = _json_values(pair, int), _qubit(q)
+            if not (0 <= b < len(ks) and 0 <= s < ks[b]):
                 raise InputError(f"assignment {q + 1}: [{b}, {s}] on blocks with k = {ks} "
                                  "(logical qubits count from 1, blocks and slots from 0)")
             assignment[q] = sum(ks[:b]) + s  # slot s of block b on the composite
@@ -352,17 +357,10 @@ def cmd_encode_count(args, cfg) -> int:
     if not isinstance(transverse, bool):
         raise InputError(f"transverse must be true or false, got {transverse!r}")
     terms, counts = codes.encode_ising(h, J, assignment, build_code(cm), transverse=transverse)
-    report = {
-        "num_terms": len(terms),
-        "weight_histogram": {str(w): c for w, c in sorted(counts.items())},
-        "terms": [
-            {"logical": t["logical"], "coefficient": t["coefficient"],
-             "physical": str(t["physical"]), "weight": t["weight"]}
-            for t in terms
-        ],
-        "config": {"problem": args.problem},
-    }
-    _write(args.out, _json(report))
+    report = {"num_terms": len(terms),
+              "weight_histogram": {str(w): c for w, c in sorted(counts.items())},
+              "terms": [{**t, "physical": str(t["physical"])} for t in terms]}
+    _write_report(args.out, report, {"problem": args.problem})
     return EXIT_OK
 
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -10,9 +12,12 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gaugeforge
 from gaugeforge.cli import main
+from gaugeforge.opensys import MAX_RK4_STEPS
 
 M412 = "1 1\n1 1\n"
 M622 = "1 1 0\n0 1 1\n1 0 1\n"
@@ -309,6 +314,34 @@ def test_exit_code_2_for_input_errors(capsys, tmp_path):
                  ["--config", "{tmp}/cfg.json", "simulate", "m412"], id="config-not-json"),
     pytest.param({"cfg.json": ["samples", 3]},
                  ["--config", "{tmp}/cfg.json", "simulate", "m412"], id="config-list"),
+    pytest.param({"cfg.json": b'{"gamma": "0.8", "gamma": "1.2", "t-max": 1e-10, "samples": 2}'},
+                 ["--config", "{tmp}/cfg.json", "simulate", "m412"], id="config-gamma-twice"),
+    pytest.param({"cfg.json": b"[" * 100000 + b"]" * 100000},
+                 ["--config", "{tmp}/cfg.json", "code", "info", "m412"], id="config-deep-nesting"),
+    pytest.param({}, ["simulate", "m412", "--bath", "chi=0,chi=3.18e-4", "--t-max", "1e-10",
+                      "--samples", "2"], id="bath-chi-twice"),
+    pytest.param({"prob.json": b'{"blocks": [[[1, 1], [1, 1]]], "assignment": {"1": [0, 0]}, '
+                               b'"h": {"1": 0.5, "1": 0.25}}'},
+                 ["encode-count", "{tmp}/prob.json"], id="encode-count-h-twice"),
+    pytest.param({"prob.json": b'{"blocks": [[[1, 1], [1, 1]]], "assignment": {"1": [0, 0]}, '
+                               b'"h": {"1": 0.5}, "transverse": \xff}'},
+                 ["encode-count", "{tmp}/prob.json"], id="encode-count-not-utf8"),
+    pytest.param({"prob.json": {"blocks": [[[1, 1], [1, 1]]], "h": {"\u0661": 0.5, " +1": 0.25},
+                                "assignment": {"1": [0, 0]}, "transverse": False}},
+                 ["encode-count", "{tmp}/prob.json"], id="encode-count-h-one-qubit-two-keys"),
+    pytest.param({"prob.json": {"blocks": [[[1, 1], [1, 1]]], "h": {" +1": 0.25},
+                                "assignment": {"1": [0, 0]}}},
+                 ["encode-count", "{tmp}/prob.json"], id="encode-count-h-key-signed"),
+    pytest.param({"prob.json": {"blocks": [[[1, 1, 0], [0, 1, 1], [1, 0, 1]]],
+                                "assignment": {"1": [0, 0], "01": [0, 1]}}},
+                 ["encode-count", "{tmp}/prob.json"], id="encode-count-assignment-01"),
+    pytest.param({"prob.json": {"blocks": [[[1, 1, 0], [0, 1, 1], [1, 0, 1]]], "J": {"1, 2": 1.0},
+                                "assignment": {"1": [0, 0], "2": [0, 1]}}},
+                 ["encode-count", "{tmp}/prob.json"], id="encode-count-J-key-space"),
+    pytest.param({"prob.json": {"blocks": [[[1, 1, 0], [0, 1, 1], [1, 0, 1]]],
+                                "J": {"1,2": 1.0, "2,1": 2.0},
+                                "assignment": {"1": [0, 0], "2": [0, 1]}}},
+                 ["encode-count", "{tmp}/prob.json"], id="encode-count-J-pair-twice"),
 ])
 def test_exit_code_2_for_malformed_values(capsys, matrices, tmp_path, files, argv):
     for name, value in files.items():  # bytes are written as they are, anything else as JSON
@@ -405,6 +438,149 @@ def test_simulate_refuses_a_step_count_over_the_limit(capsys, matrices, t_max):
     assert time.perf_counter() - start < 5
     assert code == 1 and out == ""
     assert err.startswith("error:") and err.count("\n") == 1 and "RK4 steps" in err
+
+
+# One valid document per JSON input of the CLI, with the command that reads it as ``{doc}``.
+FUZZ_INPUTS = {
+    "problem": (["encode-count", "{doc}"], {
+        "blocks": [[[1, 1], [1, 1]], [[1, 1, 0], [0, 1, 1], [1, 0, 1]]],
+        "h": {"1": 1.0, "2": -0.5, "3": 0.25},
+        "J": {"1,2": 1.0, "2,3": -1.0, "1,3": 0.5},
+        "assignment": {"1": [0, 0], "2": [1, 0], "3": [1, 1]},
+        "transverse": False,
+    }),
+    "weights": (["spectrum", "{m412}", "--weights", "file:{doc}"], [1.0, 0.5, 2, 1.0]),
+    "basis": (["spectrum", "{m412}", "--basis", "{doc}"], {
+        "x_stabilizers": ["X[1,1] X[1,2] X[2,1] X[2,2]"],
+        "z_stabilizers": ["Z[1,1] Z[1,2] Z[2,1] Z[2,2]"],
+        "aux_pairs": [["X[2,1] X[2,2]", "Z[1,2] Z[2,2]"]],
+    }),
+    "config": (["--config", "{doc}", "code", "info", "{m412}"], {
+        "gamma": "0.8,1.2", "t-max": 1e-9, "samples": 3, "bath": "chi=1e-4",
+    }),
+}
+FUZZ_KEYS = st.sampled_from(["1", "2", "3", "4", "0", "01", " 1", "1 ", "+1", "-1", "\u0661",
+                             "1,2", "2,1", "1, 2", "1,1", "1,2,3", "", "h", "J", "blocks",
+                             "assignment", "gamma", "samples", "aux_pairs"])
+FUZZ_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 4), st.just(10**400),
+    st.sampled_from([0.0, -0.0, 0.5, 1e308, float("nan"), float("inf"), -float("inf")]),
+    st.sampled_from(["1", "0.5", "", "01", "\u0661", "true", "X[1,1]", "Z[1,1] Z[2,1]"]))
+# A JSON object is a tuple of (key, value) pairs here, so that a renamed key can repeat one.
+FUZZ_VALUES = st.recursive(FUZZ_SCALARS, lambda inner: st.lists(inner, max_size=3) | st.lists(
+    st.tuples(FUZZ_KEYS, inner), max_size=3, unique_by=lambda pair: pair[0]).map(tuple),
+    max_leaves=6)
+
+
+def _pairs(doc):
+    """``doc`` with each object as a tuple of its (key, value) pairs."""
+    if isinstance(doc, dict):
+        return tuple((k, _pairs(v)) for k, v in doc.items())
+    return [_pairs(v) for v in doc] if isinstance(doc, list) else doc
+
+
+def _dump(node) -> str:
+    """JSON text of a ``_pairs`` document, a repeated key included, NaN as NaN."""
+    if isinstance(node, tuple):
+        return "{" + ", ".join(f"{json.dumps(k)}: {_dump(v)}" for k, v in node) + "}"
+    if isinstance(node, list):
+        return "[" + ", ".join(map(_dump, node)) + "]"
+    return json.dumps(node)
+
+
+def _draw_path(data, node) -> tuple:
+    """A path from the root of ``node``: at each object or list it stops, or goes on into one
+    of the children, each choice equally likely."""
+    path = ()
+    while isinstance(node, (tuple, list)) and node:
+        i = data.draw(st.integers(-1, len(node) - 1))
+        if i < 0:
+            break
+        path, node = path + (i,), node[i][1] if isinstance(node, tuple) else node[i]
+    return path
+
+
+def _mutate(node, path, value, key=None):
+    """``node`` with the value at ``path`` replaced by ``value``, or, when ``key`` is given and
+    ``path`` ends in an object, with the key that leads there renamed to ``key``."""
+    if not path:
+        return value
+    i, rest = path[0], path[1:]
+    if isinstance(node, list):
+        return node[:i] + [_mutate(node[i], rest, value, key)] + node[i + 1:]
+    k, v = node[i]
+    pair = (key, v) if key is not None and not rest else (k, _mutate(v, rest, value, key))
+    return node[:i] + (pair,) + node[i + 1:]
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_fuzzed_json_inputs_exit_with_one_line_or_a_report(tmp_path):
+    """Each draw mutates one path of a valid input: a value replaced (wrong type, boolean,
+    numeric string, huge or non-finite number, nesting) or an object key renamed."""
+    paths = {"m412": str(tmp_path / "m412.txt"), "doc": str(tmp_path / "doc.json")}
+    Path(paths["m412"]).write_text(M412)
+    out = tmp_path / "out.json"
+
+    @settings(max_examples=1000, derandomize=True)
+    @given(st.data())
+    def check(data):
+        name = data.draw(st.sampled_from(sorted(FUZZ_INPUTS)))
+        argv, doc = FUZZ_INPUTS[name]
+        doc = _pairs(doc)
+        path = _draw_path(data, doc)
+        key = data.draw(st.none() | FUZZ_KEYS)
+        text = _dump(_mutate(doc, path, data.draw(FUZZ_SCALARS | FUZZ_VALUES), key))
+        Path(paths["doc"]).write_text(text)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()) as stdout:
+            rc = main([a.format(**paths) for a in argv] + ["--out", str(out)])
+        assert rc in (0, 1, 2) and stdout.getvalue() == ""
+        if rc:
+            assert err.getvalue().startswith("error:") and err.getvalue().count("\n") == 1
+            return
+        report = json.loads(out.read_text(), parse_constant=_refuse_constant)
+        if name == "problem":  # every nonzero h and J entry is one term, none merged or lost
+            top = json.loads(text, object_pairs_hook=list)
+            want = [("Z" + k, v) for field, obj in top if field == "h" for k, v in obj if v]
+            want += [("Z" + k.replace(",", " Z"), v)
+                     for field, obj in top if field == "J" for k, v in obj if v]
+            got = [(t["logical"], t["coefficient"]) for t in report["terms"]
+                   if t["logical"].startswith("Z")]
+            assert sorted(got) == sorted(want)
+
+    check()
+
+
+# Runs the CLI under a 2 GB address-space cap, so that a time grid the CLI failed to
+# refuse is an allocation error at once, never a machine's worth of memory.
+CAPPED_RUN = """
+import resource, sys, time
+resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+from gaugeforge.cli import main
+start = time.perf_counter()
+rc = main(sys.argv[1:])
+print(rc, time.perf_counter() - start)
+"""
+
+
+@pytest.mark.parametrize("samples", [str(MAX_RK4_STEPS + 2), "1000000000000"])
+def test_simulate_refuses_more_samples_than_rk4_steps(matrices, samples):
+    """Each sample after the first takes an RK4 step or more: the count is refused before
+    the time grid is built."""
+    src = str(Path(gaugeforge.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", CAPPED_RUN, "simulate", matrices["m412"],
+                           "--samples", samples, "--t-max", "1e-9"],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    rc, seconds = proc.stdout.split()
+    assert rc == "2" and float(seconds) < 2
+    assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
+    assert "--samples" in proc.stderr
 
 
 def test_exit_code_1_for_verification_failure(capsys, monkeypatch, tmp_path):
