@@ -1,7 +1,7 @@
 """Command-line front end: code reports, basis reduction, spectra, simulations.
 
-Exit codes: 0 success, 1 computation failure (verification or convergence),
-2 input error (missing or malformed files and flags).
+Exit codes: 0 success, 1 computation failure (verification, extraction, a spectrum
+or a simulation), 2 input error (missing or malformed files and flags).
 """
 
 from __future__ import annotations
@@ -25,12 +25,12 @@ EXIT_OK = 0
 EXIT_COMPUTE = 1
 EXIT_INPUT = 2
 
+# simulate holds every CSV row (samples times gamma values) until it writes them; on the
+# 4-qubit code a row takes about 1 KB and 0.4 ms, so this many is about 1 GB and 6 minutes
+MAX_ROWS = 10**6
+
 
 class InputError(Exception):
-    pass
-
-
-class ComputeError(Exception):
     pass
 
 
@@ -51,13 +51,10 @@ def _read_matrix(path: str) -> tuple[CodeMatrix, str]:
     try:
         with open(path, "rb") as f:
             raw = f.read()
-    except OSError as exc:
-        raise InputError(f"cannot read matrix file {path}: {exc}") from exc
-    try:
         cm = codes.load_code_matrix(raw.decode("utf-8"))
         codes.check_size(cm)
-    except (UnicodeDecodeError, PauliError, codes.CodeError, ValueError) as exc:
-        raise InputError(f"matrix file {path}: {exc}") from exc
+    except (OSError, UnicodeDecodeError, PauliError, codes.CodeError, ValueError) as exc:
+        raise InputError(f"cannot read matrix file {path}: {exc}") from exc
     return cm, hashlib.sha256(raw).hexdigest()
 
 
@@ -102,11 +99,19 @@ def _json_values(values, kind=float) -> list:
     return [kind(v) for v in values]
 
 
+def _number(text: str, kind: type = float):
+    """``text`` as a ``kind`` (float or int), from ASCII only: Python's own readers also
+    take any Unicode digit and ``_`` between digits."""
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"{text!r} is not a number in ASCII without '_'")
+    return kind(text)
+
+
 def _qubit(key: str) -> int:
     """The 0-based index of a logical-qubit key, which is 1, 2, ... in ASCII digits."""
     if not (key.isascii() and key.isdigit() and key[0] != "0"):
         raise ValueError(f"logical qubit {key!r} is not 1, 2, ... in ASCII digits")
-    return int(key) - 1
+    return _number(key, int) - 1
 
 
 def _csv(rows) -> str:
@@ -127,15 +132,13 @@ def _write_report(out, report: dict, config: dict, **fields):
 
 
 def _parse_weights(spec_str: str, code) -> spectra.WeightSpec:
-    if spec_str is None:
-        spec_str = "uniform:1"
     try:
         kind, _, rest = spec_str.partition(":")
         if kind == "uniform":
-            return spectra.WeightSpec.uniform(float(rest), len(code.gauge_generators))
+            return spectra.WeightSpec.uniform(_number(rest), len(code.gauge_generators))
         if kind == "xz":
             lam_s, eta_s = rest.split(",")
-            return spectra.WeightSpec.xz(float(lam_s), float(eta_s),
+            return spectra.WeightSpec.xz(_number(lam_s), _number(eta_s),
                                          len(code.x_gauge), len(code.z_gauge))
         if kind == "file":
             w = spectra.WeightSpec.explicit(_json_values(_load_json(rest, "--weights file", list)))
@@ -148,19 +151,15 @@ def _parse_weights(spec_str: str, code) -> spectra.WeightSpec:
 
 def _parse_bath(spec_str: str) -> opensys.BathSpec:
     kwargs = {}
-    if spec_str:
-        for item in spec_str.split(","):
+    try:
+        for item in spec_str.split(",") if spec_str else ():
             key, _, val = item.partition("=")
             if key not in ("chi", "omega_c", "omega_T") or not val or key in kwargs:
-                raise InputError(f"bad --bath item {item!r}: keys chi, omega_c, omega_T, each once")
-            try:
-                kwargs[key] = float(val)
-            except ValueError as exc:
-                raise InputError(f"bad --bath item {item!r}: {exc}") from exc
-    try:
+                raise ValueError(f"item {item!r}: keys chi, omega_c, omega_T, each once")
+            kwargs[key] = _number(val)
         return opensys.BathSpec(**kwargs)
-    except opensys.OpenSysError as exc:
-        raise InputError(f"bad --bath: {exc}") from exc
+    except (ValueError, opensys.OpenSysError) as exc:
+        raise InputError(f"bad --bath {spec_str!r}: {exc}") from exc
 
 
 def _reduced_basis_report(cm: CodeMatrix, rb: extraction.ReducedBasis) -> dict:
@@ -200,10 +199,7 @@ def cmd_code_info(args, cfg) -> int:
 def cmd_reduce(args, cfg) -> int:
     cm, digest = _read_matrix(args.matrix)
     code = build_code(cm)
-    try:
-        rb = extraction.extract_reduced_basis(cm)
-    except extraction.ExtractionError as exc:
-        raise ComputeError(f"extraction failed: {exc}") from exc
+    rb = extraction.extract_reduced_basis(cm)
     verification = extraction.verify_reduced_basis(code, rb)
     _write_report(args.out, _reduced_basis_report(cm, rb), {"matrix": args.matrix},
                   verification=verification.to_dict(), matrix_sha256=digest)
@@ -218,10 +214,8 @@ def cmd_spectrum(args, cfg) -> int:
     cm, digest = _read_matrix(args.matrix)
     code = _gauged_code(cm, all_pairs=args.all_pairs)
     w = _parse_weights(args.weights, code)
-    try:  # a code past the full-space limit is refused before any sector work
-        full = spectra.build_full_hamiltonian(code, w) if args.full_check else None
-    except spectra.SpectraError as exc:
-        raise ComputeError(str(exc)) from exc
+    # a code past the full-space limit is refused before any sector work
+    full = spectra.build_full_hamiltonian(code, w) if args.full_check else None
     if args.basis:
         rb = _reduced_basis_from_report(cm, _load_json(args.basis, "--basis"))
         failed = extraction.verify_reduced_basis(code, rb).violations
@@ -229,20 +223,13 @@ def cmd_spectrum(args, cfg) -> int:
             raise InputError(f"--basis {args.basis} is not a reduced basis of this code: "
                              + "; ".join(n for n, _ in failed))
     else:
-        try:
-            rb = extraction.extract_reduced_basis(cm)
-        except extraction.ExtractionError as exc:
-            raise ComputeError(f"extraction failed: {exc}") from exc
-    try:
-        sep = spectra.energy_separation(code, rb, w)
-        e_full = None if full is None else spectra.full_ground_energy(full)
-    except spectra.SpectraError as exc:
-        raise ComputeError(str(exc)) from exc
+        rb = extraction.extract_reduced_basis(cm)
+    sep = spectra.energy_separation(code, rb, w)
     report = sep.to_dict()
     report["sectors"].sort(key=lambda s: s["sector"], reverse=True)
     if full is not None:
-        report["full_ground_energy"] = e_full
-    _write_report(args.out, report, {"matrix": args.matrix, "weights": args.weights or "uniform:1",
+        report["full_ground_energy"] = spectra.full_ground_energy(full)
+    _write_report(args.out, report, {"matrix": args.matrix, "weights": args.weights,
                                      "all_pairs": bool(args.all_pairs), "basis": args.basis},
                   matrix_sha256=digest)
     if args.sector_table:
@@ -261,31 +248,27 @@ def cmd_simulate(args, cfg) -> int:
     initial, blocks, metrics, gammas = (setting(key) for key in
                                         ("initial", "blocks", "metrics", "gamma"))
     try:  # from text, as float(True) is 1.0 and int(2.5) truncates
-        t_max, samples = float(setting("t-max")), int(setting("samples"))
+        t_max, samples = _number(setting("t-max")), _number(setting("samples"), int)
     except ValueError as exc:
         raise InputError(f"bad --t-max or --samples: {exc}") from exc
     if initial not in ("plusL", "bell") or blocks not in ("together", "separate"):
         raise InputError("--initial must be plusL|bell, --blocks together|separate")
     if metrics not in ("logical", "physical"):
         raise InputError("--metrics must be logical or physical")
-    most = opensys.MAX_RK4_STEPS + 1  # each sample after the first takes an RK4 step or more
-    if not 0 < t_max < np.inf or not 2 <= samples <= most:
-        raise InputError(f"--t-max must be positive and finite and --samples from 2 to {most}")
     bath = _parse_bath(setting("bath"))
-    try:
-        gamma_list = sorted(float(g) for g in gammas.split(","))
-    except ValueError as exc:
-        raise InputError(f"bad --gamma {gammas!r}: {exc}") from exc
-    if not all(0 < g * bath.omega_T < np.inf for g in gamma_list):
-        raise InputError(f"bad --gamma {gammas!r}: each weight times omega_T "
-                         "must be finite and positive")
-
     code = _gauged_code(cm)
     try:  # the weights each simulation builds: a sum that overflows fails here, not in eigh
+        gamma_list = sorted(_number(g) for g in gammas.split(","))
         for g in gamma_list:
+            if not g > 0:
+                raise ValueError(f"{g} is not positive")
             opensys.suppressing_weights(code, g, bath)
-    except spectra.SpectraError as exc:
+    except (ValueError, spectra.SpectraError) as exc:
         raise InputError(f"bad --gamma {gammas!r}: {exc}") from exc
+    most = MAX_ROWS // len(gamma_list)
+    if not 0 < t_max < np.inf or not 2 <= samples <= most:
+        raise InputError(f"--t-max must be positive and finite and --samples from 2 to {most} "
+                         f"({MAX_ROWS} CSV rows over {len(gamma_list)} gamma value(s))")
     rho_L = opensys.PLUS if initial == "plusL" else opensys.BELL
     t_grid = np.linspace(0.0, t_max, samples)
     k = 2 * code.k if blocks == "separate" else code.k
@@ -307,7 +290,7 @@ def cmd_simulate(args, cfg) -> int:
                 traj = opensys.simulate_two_blocks(code, composite, rho_L, gamma, bath,
                                                    t_grid, metrics=metrics)
         except opensys.OpenSysError as exc:
-            raise ComputeError(f"simulation failed at gamma={gamma}: {exc}") from exc
+            raise opensys.OpenSysError(f"simulation failed at gamma={gamma}: {exc}") from exc
         rows += ([repr(gamma)] + [repr(m[key]) for key in header[1:]] for m in traj.metrics)
     resolved = {
         "matrix": args.matrix, "matrix_sha256": digest, "initial": initial,
@@ -385,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     spec_p = sub.add_parser("spectrum", help="sector spectra and energy separation")
     spec_p.add_argument("matrix")
-    spec_p.add_argument("--weights", help="uniform:L | xz:L,E | file:PATH")
+    spec_p.add_argument("--weights", default="uniform:1", help="uniform:L | xz:L,E | file:PATH")
     spec_p.add_argument("--all-pairs", action="store_true")
     spec_p.add_argument("--basis", help="reduced-basis JSON from 'code reduce'")
     spec_p.add_argument("--sector-table", help="write per-sector ground energies CSV")
@@ -428,7 +411,8 @@ def main(argv=None) -> int:
                     except OSError as exc:
                         raise InputError(f"cannot write {path}: {exc}") from exc
             return args.func(args, cfg)
-    except (InputError, ComputeError) as exc:
+    except (InputError, extraction.ExtractionError, spectra.SpectraError,
+            opensys.OpenSysError) as exc:  # the last three: a computation on valid input failed
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT if isinstance(exc, InputError) else EXIT_COMPUTE
 

@@ -1,6 +1,7 @@
 """Independent reference values that only the tests use: closed-form sector
 spectra of the two small benchmark codes, the dense full spectrum, the
-full-space product as per-term scatters, encoded logical words as letter
+code-sector ground energy, separation and levels from the full space with a
+projector penalty, the full-space product as per-term scatters, encoded logical words as letter
 products, minimum-weight encoding over the listed stabilizer group, the code
 distance over C(S) \\ G, the Gibbs state, the sparse kron-sum Liouvillian,
 exact Lindblad propagators, the RK4 loop in complex arithmetic, extraction's
@@ -15,9 +16,11 @@ import math
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from gaugeforge.opensys import _step_bound, lindblad_superoperator
 from gaugeforge.pauli import NotInSpanError, PauliOp, PhaseConsistencyError, gf2_rank, gf2_solve
+from gaugeforge.spectra import build_full_hamiltonian
 
 
 def analytic_oracle_412(lam1, lam2, eta1, eta2, sector) -> np.ndarray:
@@ -46,6 +49,71 @@ def analytic_oracle_622(lam, eta, sector) -> np.ndarray:
 
 def full_spectrum(op) -> np.ndarray:
     return np.linalg.eigvalsh(op.dense())
+
+
+def code_sector_projector(code):
+    """v -> P v for the code-sector projector P, the product of (1 + S)/2 over
+    ``code.stabilizer_generators``, by bit manipulation; v is a vector or a
+    matrix of column vectors."""
+    idx = np.arange(1 << code.n)
+    stabilizers = []
+    for s in code.stabilizer_generators:
+        # raw X^x Z^z action: S|i> = i^r (-1)^{|i & z|} |i ^ x>, r in {0, 2}
+        r = (s.phase + (s.x & s.z).bit_count()) % 4
+        assert r in (0, 2), "stabilizer generators must be Hermitian"
+        signs = (-1.0) ** np.array([(i & s.z).bit_count() + r // 2 for i in idx])
+        stabilizers.append((idx ^ s.x, signs[:, None]))
+
+    def project(v):
+        shape, v = v.shape, v.reshape(idx.size, -1)
+        for target, signs in stabilizers:
+            sv = np.empty_like(v)
+            sv[target] = signs * v
+            v = (v + sv) / 2
+        return v.reshape(shape)
+
+    return project
+
+
+def full_space_separation(code, w) -> tuple[float, float]:
+    """(e0_code, separation) from the full 2^n space, with no extraction and
+    no sector reduction.
+
+    H commutes with the code-sector projector P, and mu = 2 sum|w| bounds the
+    spectral width of H, so the lowest eigenvalue of H + mu(1 - P) is the
+    code-sector ground energy and that of H + mu P is the lowest level outside
+    the code sector.
+    """
+    H = build_full_hamiltonian(code, w)
+    dim = H.shape[0]
+    project = code_sector_projector(code)
+    mu = 2 * float(np.abs(w.weights).sum())
+    v0 = np.random.default_rng(0).standard_normal(dim)
+
+    def lowest(penalize_code_sector: bool) -> float:
+        def matvec(v):
+            v = np.asarray(v).reshape(-1)
+            p = project(v)
+            return H.matvec(v) + mu * (p if penalize_code_sector else v - p)
+
+        op = spla.LinearOperator((dim, dim), matvec=matvec, dtype=float)
+        return float(spla.eigsh(op, k=1, which="SA", v0=v0, tol=1e-10,
+                                return_eigenvectors=False)[0])
+
+    e0 = lowest(False)
+    return e0, lowest(True) - e0
+
+
+def code_sector_levels(code, w) -> np.ndarray:
+    """Ascending eigenvalues of H on the code sector, each as often as its
+    multiplicity there, from the dense P H P + mu(1 - P): its spectrum is H's
+    on the code sector, all below mu = 2 sum|w|, then mu on the rest."""
+    dim = 1 << code.n
+    P = code_sector_projector(code)(np.eye(dim))
+    H = build_full_hamiltonian(code, w).dense()
+    mu = 2 * float(np.abs(w.weights).sum())
+    levels = np.linalg.eigvalsh(P @ H @ P + mu * (np.eye(dim) - P))
+    return levels[:round(np.trace(P))]
 
 
 def scatter_matvec(code, w, v: np.ndarray) -> np.ndarray:

@@ -14,7 +14,6 @@ import time
 
 import numpy as np
 import pytest
-import scipy.sparse.linalg as spla
 
 from gaugeforge.codes import CodeMatrix, build_code, combined_matrix
 from gaugeforge.extraction import extract_reduced_basis, verify_reduced_basis
@@ -39,7 +38,7 @@ from gaugeforge.spectra import (
     full_ground_energy,
     sector_spectra,
 )
-from tests.oracles import analytic_oracle_622, full_spectrum, gibbs_state
+from tests.oracles import analytic_oracle_622, full_space_separation, full_spectrum, gibbs_state
 from tests.test_extraction import hand_listed_basis
 
 M412 = [[1, 1], [1, 1]]
@@ -123,51 +122,6 @@ def test_criterion_3_sixteen_qubit_structure(capsys):
                   f"full-vs-sector err {cross_err:.2e}, {elapsed:.1f}s "
                   f"(separation values in the companion test)")
     assert ok
-
-
-def full_space_separation(code, w: WeightSpec) -> tuple[float, float]:
-    """(e0_code, separation) from the full 2^n space, with no extraction and
-    no sector reduction.
-
-    P is the code-sector projector, the product of (1 + S)/2 over
-    ``code.stabilizer_generators``, applied to vectors by bit manipulation.
-    H commutes with P, and mu = 2 sum|w| bounds the spectral width of H, so
-    the lowest eigenvalue of H + mu(1 - P) is the code-sector ground energy
-    and that of H + mu P is the lowest level outside the code sector.
-    """
-    H = build_full_hamiltonian(code, w)
-    dim = H.shape[0]
-    idx = np.arange(dim)
-    stabilizers = []
-    for s in code.stabilizer_generators:
-        # raw X^x Z^z action: S|i> = i^r (-1)^{|i & z|} |i ^ x>, r in {0, 2}
-        r = (s.phase + (s.x & s.z).bit_count()) % 4
-        assert r in (0, 2), "stabilizer generators must be Hermitian"
-        signs = (-1.0) ** np.array([(i & s.z).bit_count() + r // 2 for i in idx])
-        stabilizers.append((idx ^ s.x, signs))
-
-    def project(v):
-        for target, signs in stabilizers:
-            sv = np.empty_like(v)
-            sv[target] = signs * v
-            v = (v + sv) / 2
-        return v
-
-    mu = 2 * float(np.abs(w.weights).sum())
-    v0 = np.random.default_rng(0).standard_normal(dim)
-
-    def lowest(penalize_code_sector: bool) -> float:
-        def matvec(v):
-            v = np.asarray(v).reshape(-1)
-            p = project(v)
-            return H.matvec(v) + mu * (p if penalize_code_sector else v - p)
-
-        op = spla.LinearOperator((dim, dim), matvec=matvec, dtype=float)
-        return float(spla.eigsh(op, k=1, which="SA", v0=v0, tol=1e-10,
-                                return_eigenvectors=False)[0])
-
-    e0 = lowest(False)
-    return e0, lowest(True) - e0
 
 
 # (e0_code, separation) with unit weights, one pair per generating-set

@@ -10,6 +10,7 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -17,7 +18,9 @@ from hypothesis import strategies as st
 
 import gaugeforge
 from gaugeforge.cli import main
-from gaugeforge.opensys import MAX_RK4_STEPS
+from gaugeforge.extraction import ExtractionError
+from gaugeforge.opensys import OpenSysError
+from gaugeforge.spectra import ConvergenceError
 
 M412 = "1 1\n1 1\n"
 M622 = "1 1 0\n0 1 1\n1 0 1\n"
@@ -342,6 +345,23 @@ def test_exit_code_2_for_input_errors(capsys, tmp_path):
                                 "J": {"1,2": 1.0, "2,1": 2.0},
                                 "assignment": {"1": [0, 0], "2": [0, 1]}}},
                  ["encode-count", "{tmp}/prob.json"], id="encode-count-J-pair-twice"),
+    # numbers are ASCII text without '_', which float() and int() would both take
+    pytest.param({}, ["simulate", "m412", "--samples", "\u0661_0", "--t-max", "1e-10"],
+                 id="samples-arabic-indic-underscore"),
+    pytest.param({}, ["simulate", "m412", "--samples", "1_0", "--t-max", "1e-10"],
+                 id="samples-underscore"),
+    pytest.param({}, ["simulate", "m412", "--t-max", "\u0661e-10", "--samples", "2"],
+                 id="t-max-arabic-indic"),
+    pytest.param({}, ["simulate", "m412", "--gamma", "\u0660.8", "--t-max", "1e-10",
+                      "--samples", "2"], id="gamma-arabic-indic"),
+    pytest.param({}, ["simulate", "m412", "--bath", "chi=\u0661", "--t-max", "1e-12",
+                      "--samples", "2"], id="bath-arabic-indic"),
+    pytest.param({}, ["spectrum", "m412", "--weights", "uniform:\u0661_0"],
+                 id="weights-uniform-arabic-indic-underscore"),
+    pytest.param({}, ["spectrum", "m412", "--weights", "xz:1_0,1"], id="weights-xz-underscore"),
+    pytest.param({"cfg.json": {"t-max": "\u0661e-10", "samples": 2}},
+                 ["--config", "{tmp}/cfg.json", "simulate", "m412"],
+                 id="config-t-max-arabic-indic"),
 ])
 def test_exit_code_2_for_malformed_values(capsys, matrices, tmp_path, files, argv):
     for name, value in files.items():  # bytes are written as they are, anything else as JSON
@@ -554,6 +574,87 @@ def test_fuzzed_json_inputs_exit_with_one_line_or_a_report(tmp_path):
     check()
 
 
+# Text for one number on the command line: ASCII with spaces and signs, non-ASCII digits,
+# '_', non-finite and out-of-range values, empty text.
+NUMBER_TEXT = st.one_of(
+    st.sampled_from(["1", "3", "0.5", " 2 ", "+2", "-1", "0", "1e-10", "1e999", "nan", "inf",
+                     "-inf", "", "1_0", "\u0661", "\u0661_0", "\u0660.8"]),
+    st.text(st.sampled_from("0123456789.e+-_ \u0661\u0660"), max_size=6))
+BATH_KEYS = st.sampled_from(["chi", "omega_c", "omega_T"])
+
+
+def test_fuzzed_number_text_exits_0_only_on_ascii_numbers(matrices, monkeypatch, tmp_path):
+    """Each draw puts text into the numbers of one setting, from its flag or from a --config
+    string: --t-max, --samples, --gamma items, --bath values, --weights uniform:/xz:.  The
+    simulation is stubbed, so a draw costs only the parsing (and a 4-qubit spectrum)."""
+    import gaugeforge.cli as cli_mod
+
+    seen = []
+    real_separation = cli_mod.spectra.energy_separation
+
+    def stub_simulation(code, rho_L, gamma, bath, t_grid, metrics):
+        seen.append((gamma, bath, t_grid))
+        return SimpleNamespace(metrics=[])
+
+    def spy_separation(code, rb, w):
+        seen.append(w)
+        return real_separation(code, rb, w)
+
+    monkeypatch.setattr(cli_mod.opensys, "simulate_code", stub_simulation)
+    monkeypatch.setattr(cli_mod.spectra, "energy_separation", spy_separation)
+    cfg, out = tmp_path / "cfg.json", str(tmp_path / "out")
+
+    @settings(max_examples=400, derandomize=True)
+    @given(st.data())
+    def check(data):
+        key = data.draw(st.sampled_from(["t-max", "samples", "gamma", "bath", "uniform", "xz"]))
+        if key == "bath":
+            items = data.draw(st.lists(st.tuples(BATH_KEYS, NUMBER_TEXT), max_size=3))
+            nums = [v for _, v in items]
+            text = ",".join(f"{k}={v}" for k, v in items)
+        else:
+            size = {"gamma": (1, 3), "xz": (2, 2)}.get(key, (1, 1))
+            nums = data.draw(st.lists(NUMBER_TEXT, min_size=size[0], max_size=size[1]))
+            text = ",".join(nums)
+        if key in ("uniform", "xz"):
+            argv = ["spectrum", matrices["m412"], f"--weights={key}:{text}"]
+        elif data.draw(st.booleans()):
+            cfg.write_text(json.dumps({key: text}))
+            argv = ["--config", str(cfg), "simulate", matrices["m412"]]
+        else:
+            argv = ["simulate", matrices["m412"], f"--{key}={text}"]
+        seen.clear()
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()) as stdout:
+            rc = main(argv + ["--out", out])
+        assert rc in (0, 2) and stdout.getvalue() == ""
+        if rc:
+            assert err.getvalue().startswith("error:") and err.getvalue().count("\n") == 1
+            return
+        assert all(t.isascii() and "_" not in t for t in nums)
+        values = [float(t) for t in nums]
+        if key in ("uniform", "xz"):  # M412: two XX generators, then two ZZ
+            assert seen[0].weights == tuple(values * 4 if key == "uniform" else
+                                            [values[0]] * 2 + [values[1]] * 2)
+        elif key == "gamma":
+            assert [gamma for gamma, _, _ in seen] == sorted(values)
+        elif key == "bath":
+            assert all(getattr(seen[0][1], k) == v for (k, _), v in zip(items, values))
+        else:
+            t_grid = seen[0][2]
+            assert (t_grid[-1] == values[0] if key == "t-max" else t_grid.size == int(nums[0]))
+
+    check()
+
+
+def test_number_text_with_spaces_reads_as_without(matrices, tmp_path):
+    sim = ["simulate", matrices["m412"], "--t-max", "1e-10", "--samples", "2"]
+    spaced, plain = str(tmp_path / "spaced.csv"), str(tmp_path / "plain.csv")
+    assert main(sim + ["--gamma", "0.8, 1.2", "--out", spaced]) == 0
+    assert main(sim + ["--gamma", "0.8,1.2", "--out", plain]) == 0
+    assert Path(spaced).read_text() == Path(plain).read_text()
+
+
 # Runs the CLI under a 2 GB address-space cap, so that a time grid the CLI failed to
 # refuse is an allocation error at once, never a machine's worth of memory.
 CAPPED_RUN = """
@@ -566,10 +667,10 @@ print(rc, time.perf_counter() - start)
 """
 
 
-@pytest.mark.parametrize("samples", [str(MAX_RK4_STEPS + 2), "1000000000000"])
-def test_simulate_refuses_more_samples_than_rk4_steps(matrices, samples):
-    """Each sample after the first takes an RK4 step or more: the count is refused before
-    the time grid is built."""
+@pytest.mark.parametrize("samples", ["100000001", "100000002", "1000000000000"])
+def test_simulate_refuses_samples_past_the_row_bound(matrices, samples):
+    """simulate holds every CSV row until it writes them: a count past the bound on rows
+    is refused before the time grid is built."""
     src = str(Path(gaugeforge.__file__).resolve().parents[1])
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -611,16 +712,27 @@ def test_exit_code_2_for_basis_outside_gauge_group(capsys, matrices, tmp_path):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
-def test_exit_code_1_for_spectrum_extraction_failure(capsys, monkeypatch, matrices):
+@pytest.mark.parametrize("argv, module, name, error, message", [
+    pytest.param(["code", "reduce", "m412"], "extraction", "extract_reduced_basis",
+                 ExtractionError, "injected failure", id="reduce-extraction"),
+    pytest.param(["spectrum", "m412"], "extraction", "extract_reduced_basis",
+                 ExtractionError, "injected failure", id="spectrum-extraction"),
+    pytest.param(["spectrum", "m412", "--full-check"], "spectra", "full_ground_energy",
+                 ConvergenceError, "injected failure", id="full-check-convergence"),
+    pytest.param(["simulate", "m412", "--gamma", "0.8,1.2"], "opensys", "simulate_code",
+                 OpenSysError, "gamma=0.8: injected failure", id="simulate"),
+])
+def test_exit_code_1_for_computation_failures(capsys, monkeypatch, matrices, argv, module, name,
+                                              error, message):
     import gaugeforge.cli as cli_mod
-    from gaugeforge.extraction import ExtractionError
 
-    def fake_extract(cm):
-        raise ExtractionError("injected failure")
+    def fail(*args, **kwargs):
+        raise error("injected failure")
 
-    monkeypatch.setattr(cli_mod.extraction, "extract_reduced_basis", fake_extract)
-    code, _, err = run(capsys, "spectrum", matrices["m412"])
-    assert code == 1 and "injected failure" in err
+    monkeypatch.setattr(getattr(cli_mod, module), name, fail)
+    code, out, err = run(capsys, *(matrices.get(a, a) for a in argv))
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1 and message in err
 
 
 def test_exit_code_2_for_logical_qubit_mismatch(capsys, monkeypatch, matrices):

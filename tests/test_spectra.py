@@ -24,7 +24,14 @@ from gaugeforge.spectra import (
     sector_spectra,
     z_signs,
 )
-from tests.oracles import analytic_oracle_412, analytic_oracle_622, full_spectrum, scatter_matvec
+from tests.oracles import (
+    analytic_oracle_412,
+    analytic_oracle_622,
+    code_sector_levels,
+    full_space_separation,
+    full_spectrum,
+    scatter_matvec,
+)
 
 M412 = [[1, 1], [1, 1]]
 M622 = [[1, 1, 0], [0, 1, 1], [1, 0, 1]]
@@ -139,6 +146,46 @@ def test_sector_minimum_matches_full_ground_energy():
         if code.n <= 10:  # the iterative solve against a dense one
             e_dense = full_spectrum(H)[0]
             assert abs(e_full - e_dense) <= 1e-12 * abs(e_dense)
+
+
+RANDOM_MATRICES = st.tuples(st.integers(1, 4), st.integers(1, 4)).flatmap(
+    lambda rc: st.lists(st.lists(st.integers(0, 1), min_size=rc[1], max_size=rc[1]),
+                        min_size=rc[0], max_size=rc[0]))
+
+
+@settings(max_examples=150, derandomize=True)
+@given(RANDOM_MATRICES, st.booleans(), st.data())
+def test_every_spectrum_number_matches_the_full_space(M, all_pairs, data):
+    """On codes of at most 10 qubits with explicit weights, zeros and unequal X and Z weights
+    among them: ``e0_code``, ``separation`` and ``gauge_gap`` against the full 2^n space with a
+    code-sector projector, and the separating sector against single-qubit syndromes."""
+    M = np.array(M)
+    assume(M.sum() <= 10 and M.sum(axis=0).all() and M.sum(axis=1).all())
+    cm = CodeMatrix.from_matrix(M)
+    code = build_code(cm, all_pairs=all_pairs)
+    assume(code.stabilizer_generators and code.gauge_generators)
+    weights = data.draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.25]),
+                                 min_size=len(code.gauge_generators),
+                                 max_size=len(code.gauge_generators)).filter(any))
+    rb = extract_reduced_basis(cm)
+    w = WeightSpec.explicit(weights)
+    rep = energy_separation(code, rb, w)
+
+    e0, separation = full_space_separation(code, w)
+    assert abs(rep.e0_code - e0) < 1e-8 and abs(rep.separation - separation) < 1e-8
+    levels = code_sector_levels(code, w)
+    above = levels[levels > levels[0] + 1e-9 * max(1.0, abs(levels[0]))]
+    assert abs(rep.gauge_gap - (above[0] - levels[0] if above.size else 0.0)) < 1e-8
+
+    # the sector that sets the separation (any of them, on a tie) is where one
+    # single-qubit Pauli takes the code sector
+    stabilizers = list(rb.x_stabilizers) + list(rb.z_stabilizers)
+    syndromes = {tuple(1 if p.commutes(s) else -1 for s in stabilizers)
+                 for q in range(code.n) for p in (PauliOp.single(code.n, a, q) for a in "XYZ")}
+    lowest = rep.e0_code + rep.separation
+    separating = {s for s, e in rep.ground_energies.items()
+                  if s != rep.code_sector and e <= lowest + 1e-9 * max(1.0, abs(lowest))}
+    assert separating & syndromes
 
 
 @settings(max_examples=60)
