@@ -305,27 +305,11 @@ def logical_operator(code: SubsystemCode, word: PauliOp) -> PauliOp:
     return PauliOp(n, 0, 0, word._raw_phase()) * PauliOp(n, xs, 0, 0) * PauliOp(n, 0, zs, 0)
 
 
-def encode_operator(
-    logical_term: str,
-    assignment: dict[int, int],
-    code: SubsystemCode,
-) -> tuple[PauliOp, int]:
-    """Encode a Pauli word on logical qubits into a physical operator.
-
-    ``logical_term`` uses linear labels over the logical qubits ("Z1 Z2");
-    ``assignment`` maps logical qubit (0-based) to a logical qubit of ``code``.
-    The result is reduced to minimum weight by stabilizer multiplication,
-    ties broken by smallest (x, z) bit pattern.
-    """
-    targets = set(assignment.values())
-    if len(targets) < len(assignment) or not targets <= set(range(code.k)):
-        raise CodeError(f"assignment is not one-to-one into the k={code.k} logical qubits")
-    word = pauli_from_string(logical_term, max(assignment, default=0) + 1)
-    if (word.x | word.z) & ~sum(1 << q for q in assignment):
-        raise CodeError(f"{logical_term!r} acts on a logical qubit outside the assignment")
-    x = sum((word.x >> q & 1) << t for q, t in assignment.items())
-    z = sum((word.z >> q & 1) << t for q, t in assignment.items())
-    op = logical_operator(code, PauliOp(code.k, x, z, word.phase))
+def encode_operator(code: SubsystemCode, word: PauliOp) -> tuple[PauliOp, int]:
+    """The minimum-weight physical operator of the k-qubit ``word`` and its
+    weight: ``logical_operator`` reduced by stabilizer multiplication, ties
+    broken by smallest (x, z) bit pattern."""
+    op = logical_operator(code, word)
     # (weight, x << n | z) orders the coset totally: keep the best and its subset
     n, stabs = code.n, code.stabilizer_generators
     packed = [s.x << n | s.z for s in stabs]
@@ -346,22 +330,32 @@ def encode_ising(
 ) -> tuple[list[dict], dict[int, int]]:
     """Encode a logical Ising + transverse-field Hamiltonian term by term.
 
-    Returns the encoded term list and a histogram of physical weights.
+    ``assignment`` maps logical qubit (0-based) to a logical qubit of ``code``.
+    The whole problem is checked, raising ``CodeError``, before any term is
+    encoded.  Returns the encoded term list and a histogram of physical weights.
     """
+    slots = set(assignment.values())
+    if len(slots) < len(assignment) or not slots <= set(range(code.k)):
+        raise CodeError(f"assignment is not one-to-one into the k={code.k} logical qubits")
+    unassigned = set(h).union(*J) - set(assignment)
+    if unassigned:
+        raise CodeError(f"h or J names logical qubit {min(unassigned) + 1}, "
+                        "which has no assignment")
+    if any(a == b for a, b in J):
+        raise CodeError("J couples a logical qubit to itself")
+    if len({frozenset(pair) for pair in J}) < len(J):
+        raise CodeError("J names one coupling twice, in either order")
+    if not all(-np.inf < v < np.inf for v in [*h.values(), *J.values()]):  # NaN fails too
+        raise CodeError("h and J values must be finite")
+    # each term as its coefficient, its text and the X and Z masks of its word
+    logical = [(1.0, f"X{q + 1}", 1 << assignment[q], 0) for q in sorted(assignment) if transverse]
+    logical += [(hq, f"Z{q + 1}", 0, 1 << assignment[q]) for q, hq in sorted(h.items()) if hq]
+    logical += [(j, f"Z{a + 1} Z{b + 1}", 0, 1 << assignment[a] | 1 << assignment[b])
+                for (a, b), j in sorted(J.items()) if j]
     terms = []
-    logical = []
-    if transverse:
-        for q in sorted(assignment):
-            logical.append((1.0, f"X{q + 1}"))
-    for q, hq in sorted(h.items()):
-        if hq:
-            logical.append((hq, f"Z{q + 1}"))
-    for (a, b), j in sorted(J.items()):
-        if j:
-            logical.append((j, f"Z{a + 1} Z{b + 1}"))
     counts: dict[int, int] = {}
-    for coeff, term in logical:
-        op, w = encode_operator(term, assignment, code)
+    for coeff, term, x, z in logical:
+        op, w = encode_operator(code, PauliOp(code.k, x, z, 0))
         counts[w] = counts.get(w, 0) + 1
         terms.append({"logical": term, "coefficient": coeff, "physical": op, "weight": w})
     return terms, counts

@@ -285,17 +285,18 @@ def test_criterion_7_noise_suppression_experiments(capsys):
 
 def test_criterion_8_locality_accounting(capsys):
     from gaugeforge.codes import encode_ising, encode_operator
+    from gaugeforge.pauli import pauli_from_string
 
     cm622 = CodeMatrix.from_matrix(M622)
     code = build_code(combined_matrix([cm622, cm622]))
     assignment = {0: 0, 1: 1, 2: 2, 3: 3}  # block 0 holds logical qubits 0, 1
     intra_ok = True
     for term in ("Z1 Z2", "X1 X2", "Z3 Z4", "X3 X4"):
-        _, wgt = encode_operator(term, assignment, code)
+        _, wgt = encode_operator(code, pauli_from_string(term, code.k))
         intra_ok &= wgt <= 2
     cross_ok = True
     for term in ("Z2 Z3", "X1 X4"):
-        _, wgt = encode_operator(term, assignment, code)
+        _, wgt = encode_operator(code, pauli_from_string(term, code.k))
         cross_ok &= wgt == 4
     h = {q: 1.0 for q in range(4)}
     J = {(0, 1): 1.0, (2, 3): 1.0, (1, 2): 1.0}

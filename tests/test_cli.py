@@ -176,6 +176,15 @@ def test_encode_count_reports_weights(capsys, tmp_path):
     assert weights["Z2 Z3"] == 4
 
 
+def test_encode_count_takes_logical_qubit_keys_past_63(capsys, tmp_path):
+    """A key names a logical qubit, not a qubit of a Pauli operator, so 64 is no limit."""
+    prob = tmp_path / "prob.json"
+    prob.write_text(json.dumps({"blocks": [[[1, 1], [1, 1]]], "assignment": {"64": [0, 0]}}))
+    code, out, err = run(capsys, "encode-count", str(prob))
+    assert (code, err) == (0, "")
+    assert [t["logical"] for t in json.loads(out)["terms"]] == ["X64"]
+
+
 def test_exit_code_2_for_input_errors(capsys, tmp_path):
     code, _, err = run(capsys, "code", "info", str(tmp_path / "missing.txt"))
     assert code == 2 and "error" in err
@@ -479,9 +488,9 @@ FUZZ_INPUTS = {
         "gamma": "0.8,1.2", "t-max": 1e-9, "samples": 3, "bath": "chi=1e-4",
     }),
 }
-FUZZ_KEYS = st.sampled_from(["1", "2", "3", "4", "0", "01", " 1", "1 ", "+1", "-1", "\u0661",
-                             "1,2", "2,1", "1, 2", "1,1", "1,2,3", "", "h", "J", "blocks",
-                             "assignment", "gamma", "samples", "aux_pairs"])
+FUZZ_KEYS = st.sampled_from(["1", "2", "3", "4", "64", "100", "0", "01", " 1", "1 ", "+1", "-1",
+                             "\u0661", "1,2", "2,1", "1, 2", "1,1", "1,2,3", "", "h", "J",
+                             "blocks", "assignment", "gamma", "samples", "aux_pairs"])
 FUZZ_SCALARS = st.one_of(
     st.none(), st.booleans(), st.integers(-2, 4), st.just(10**400),
     st.sampled_from([0.0, -0.0, 0.5, 1e308, float("nan"), float("inf"), -float("inf")]),

@@ -23,7 +23,7 @@ from gaugeforge.codes import (
     load_code_matrix,
     logical_operator,
 )
-from gaugeforge.pauli import PauliOp, express_in_basis
+from gaugeforge.pauli import PauliOp, express_in_basis, pauli_from_string
 from tests.oracles import centralizer_distance, letter_logical_operator, listed_min_weight
 
 M412 = [[1, 1], [1, 1]]
@@ -305,18 +305,16 @@ def two_m622_blocks():
 
 def test_intra_block_couplings_stay_two_local():
     block = build_code(CodeMatrix.from_matrix(M622))
-    assignment = {0: 0, 1: 1}
     for term in ("X1", "Z1", "X2", "Z2", "Z1 Z2", "X1 X2"):
-        _, w = encode_operator(term, assignment, block)
+        _, w = encode_operator(block, pauli_from_string(term, block.k))
         assert w <= 2, f"{term} has weight {w}"
 
 
 def test_cross_block_couplings_are_four_local():
-    code = two_m622_blocks()
-    assignment = {0: 0, 1: 2}  # slot 0 of each block
-    _, w = encode_operator("Z1 Z2", assignment, code)
+    code = two_m622_blocks()  # slot 0 of each block: logical qubits 1 and 3 of the composite
+    _, w = encode_operator(code, pauli_from_string("Z1 Z3", code.k))
     assert w == 4
-    _, w = encode_operator("X1 X2", assignment, code)
+    _, w = encode_operator(code, pauli_from_string("X1 X3", code.k))
     assert w == 4
 
 
@@ -336,38 +334,64 @@ def test_encode_ising_histogram_deterministic():
 
 
 def test_encoded_operators_commute_with_gauge():
-    code = two_m622_blocks()
-    assignment = {0: 0, 1: 3}  # slot 0 of block 0, slot 1 of block 1
-    op, _ = encode_operator("Z1 Z2", assignment, code)
+    code = two_m622_blocks()  # slot 0 of block 0 and slot 1 of block 1
+    op, _ = encode_operator(code, pauli_from_string("Z1 Z4", code.k))
     for g in code.gauge_generators:
         assert op.commutes(g)
 
 
-@pytest.mark.parametrize("term, assignment", [
-    ("Z1", {0: 0, 1: 0}),  # two logical qubits on one logical qubit of the code
-    ("Z1", {0: 4}),        # past the composite's k = 4
-    ("Z2", {0: 0, 2: 1}),  # logical qubit 2 has no assignment
+@pytest.mark.parametrize("h, J, assignment", [
+    pytest.param({0: 1.0}, {}, {0: 0, 1: 0}, id="shared-slot"),
+    pytest.param({0: 1.0}, {}, {0: 4}, id="slot-past-k"),  # the composite has k = 4
+    pytest.param({1: 1.0}, {}, {0: 0, 2: 1}, id="unassigned"),
+    pytest.param({}, {(0, 0): 1.0}, {0: 0}, id="self-coupling"),
+    pytest.param({}, {(0, 1): 1.0, (1, 0): 2.0}, {0: 0, 1: 1}, id="pair-twice"),
+    pytest.param({0: float("nan")}, {}, {0: 0}, id="nan-field"),
+    pytest.param({}, {(0, 1): float("inf")}, {0: 0, 1: 2}, id="infinite-coupling"),
 ])
-def test_encode_operator_rejects_bad_assignments(term, assignment):
+def test_encode_ising_rejects_bad_problems(h, J, assignment):
     with pytest.raises(CodeError):
-        encode_operator(term, assignment, two_m622_blocks())
+        encode_ising(h, J, assignment, two_m622_blocks())
 
 
 @settings(max_examples=50)
 @given(st.lists(code_matrices(), min_size=1, max_size=2), st.data())
 def test_encode_operator_matches_listed_coset(cms, data):
     """The Gray-code walk finds the operator the listed stabilizer group gives,
-    phase included, for any word and any permutation of the logical qubits."""
+    phase included, for any word."""
     code = build_code(combined_matrix(cms))
-    letters = data.draw(st.lists(st.sampled_from("IXYZ"), min_size=code.k, max_size=code.k))
-    perm = data.draw(st.permutations(range(code.k)))
-    sign = data.draw(st.sampled_from(["", "- "]))
-    term = sign + (" ".join(f"{letters[t]}{q + 1}" for q, t in enumerate(perm)
-                            if letters[t] != "I") or "I")
-    word = PauliOp(code.k, sum(1 << t for t, c in enumerate(letters) if c in "XY"),
-                   sum(1 << t for t, c in enumerate(letters) if c in "YZ"), 2 if sign else 0)
+    x, z = (data.draw(st.integers(0, (1 << code.k) - 1)) for _ in range(2))
+    word = PauliOp(code.k, x, z, data.draw(st.sampled_from([0, 2])))
     expected = listed_min_weight(logical_operator(code, word), code.stabilizer_generators)
-    assert encode_operator(term, dict(enumerate(perm)), code) == (expected, expected.weight)
+    assert encode_operator(code, word) == (expected, expected.weight)
+
+
+@settings(max_examples=50)
+@given(st.lists(code_matrices(), min_size=1, max_size=2), st.data())
+def test_encode_ising_matches_listed_coset(cms, data):
+    """For a random one-to-one assignment (labels past 63 included), each term is the
+    listed minimum of the word its text names on the assigned slots."""
+    code = build_code(combined_matrix(cms))
+    slots = data.draw(st.permutations(range(code.k)))[:data.draw(st.integers(1, code.k))]
+    qubits = data.draw(st.lists(st.integers(0, 99), min_size=len(slots), max_size=len(slots),
+                                unique=True))
+    assignment = dict(zip(qubits, slots))
+    values = st.sampled_from([0.0, 1.0, -0.5, 2.0])
+    h = data.draw(st.dictionaries(st.sampled_from(qubits), values))
+    pairs = list(itertools.combinations(qubits, 2))  # each coupling once, in a drawn order
+    chosen = sorted(data.draw(st.sets(st.sampled_from(pairs)))) if pairs else []
+    J = {tuple(data.draw(st.permutations(p))): data.draw(values) for p in chosen}
+    transverse = data.draw(st.booleans())
+    terms, counts = encode_ising(h, J, assignment, code, transverse=transverse)
+    assert len(terms) == transverse * len(qubits) + sum(map(bool, [*h.values(), *J.values()]))
+    for t in terms:
+        word = PauliOp.identity(code.k)
+        for token in t["logical"].split():
+            word = word * PauliOp.single(code.k, token[0], assignment[int(token[1:]) - 1])
+        expected = listed_min_weight(logical_operator(code, word), code.stabilizer_generators)
+        assert (t["physical"], t["weight"]) == (expected, expected.weight)
+    assert counts == {w: sum(t["weight"] == w for t in terms) for w in counts}
+    assert sum(counts.values()) == len(terms)
 
 
 def test_encode_operator_memory_does_not_grow_with_the_stabilizer_group():
@@ -375,9 +399,10 @@ def test_encode_operator_memory_does_not_grow_with_the_stabilizer_group():
     elements of the group took 11 MB, the walk keeps one element."""
     code = build_code(combined_matrix([CodeMatrix.from_matrix(np.ones((3, 3)))] * 4))
     assert len(code.stabilizer_generators) == 16
+    word = pauli_from_string("Z1 Z4", code.k)
     tracemalloc.start()
     try:
-        op, w = encode_operator("Z1 Z2", {0: 0, 1: 3}, code)
+        op, w = encode_operator(code, word)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -291,3 +291,60 @@ def test_sector_spectra_order_and_code_sector_first():
     rep = energy_separation(code, rb, WeightSpec.uniform(1.0, 6))
     assert rep.code_sector == (1, 1)
     assert list(rep.ground_energies) == sectors
+
+
+# ---------------------------------------------------------------------------
+# Static protection: the ground space against local Paulis (Marvian-Lidar no-go)
+# ---------------------------------------------------------------------------
+
+def apply_pauli(op: PauliOp, B: np.ndarray) -> np.ndarray:
+    """op @ B by index permutation and sign: i^r X^x Z^z takes row i to row i ^ x,
+    times i^r and the sign of Z^z on i."""
+    out = np.empty(B.shape, dtype=complex)
+    out[np.arange(B.shape[0]) ^ op.x] = (1j ** op._raw_phase() * z_signs(op.z, op.n))[:, None] * B
+    return out
+
+
+def ground_space_defect(M, weight: int):
+    """(the code, its lowest 2^k levels and the one above, the largest entry of
+    B†σB - cI over every Pauli σ of weight 1 to ``weight``, c = tr(B†σB) / 2^k),
+    with B the lowest 2^k eigenvectors of -ΣG at unit weights, from a dense eigh."""
+    code = build_code(CodeMatrix.from_matrix(M))
+    H = build_full_hamiltonian(code, WeightSpec.uniform(1.0, len(code.gauge_generators))).dense()
+    levels, V = np.linalg.eigh(H)
+    g = 1 << code.k
+    B = V[:, :g]
+    defect = 0.0
+    for w in range(1, weight + 1):
+        for qubits in itertools.combinations(range(code.n), w):
+            for letters in itertools.product("XYZ", repeat=w):
+                x = sum(1 << q for q, a in zip(qubits, letters) if a in "XY")
+                z = sum(1 << q for q, a in zip(qubits, letters) if a in "YZ")
+                S = B.conj().T @ apply_pauli(PauliOp(code.n, x, z, 0), B)
+                defect = max(defect, np.abs(S - np.trace(S) / g * np.eye(g)).max())
+    return code, levels[:g + 1], defect
+
+
+@pytest.mark.parametrize("M, weight", [
+    pytest.param(M412, 1, id="M412"),
+    pytest.param(M622, 1, id="M622"),
+    pytest.param(np.ones((2, 3)), 1, id="2x3-all-ones"),
+    pytest.param(np.ones((3, 3)), 2, id="3x3-all-ones"),
+])
+def test_ground_space_is_blind_to_paulis_below_the_distance(M, weight):
+    """Every Pauli of weight below d acts on the 2^k-fold ground space as a
+    multiple of the identity, so a weak local field splits it only at order d."""
+    code, levels, defect = ground_space_defect(M, weight)
+    assert weight < code.d
+    assert levels[-2] - levels[0] < 1e-10 and levels[-1] - levels[-2] > 0.3
+    assert defect < 1e-10
+
+
+@pytest.mark.parametrize("M", [[[1, 1, 1]], [[1, 1, 1, 1]]], ids=["1x3-row", "1x4-row"])
+def test_commuting_rows_expose_their_ground_space_at_first_order(M):
+    """The commuting XX chains: some single-qubit Pauli acts on the ground space
+    as a nontrivial logical."""
+    code, levels, defect = ground_space_defect(M, 1)
+    assert code.d == 1
+    assert levels[-2] - levels[0] < 1e-10 and levels[-1] - levels[-2] > 0.3
+    assert defect > 0.5
